@@ -20,6 +20,11 @@ serving would not pay.  The single-packet baseline keeps tuple headers
 per-packet cost is what's compared, so the subsample does not bias the
 ratio.
 
+``--gate-batched-ratio R`` fails the run (exit 1) unless batched
+throughput >= R x the single-packet path: the batch kernels (D as
+bitsets, the flat two-field index) must keep paying for themselves, as a
+ratio that holds on any machine.
+
 ``--gate-shm-ratio R`` turns the run into a CI regression gate: it fails
 (exit 1) unless shm throughput >= R x plain batched.  Scaling past
 batched requires real parallelism, so the gate auto-skips on hosts with
@@ -161,6 +166,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="workload RNG seed (reproducible numbers)")
     parser.add_argument("--quick", action="store_true",
                         help="small smoke configuration for CI")
+    parser.add_argument("--gate-batched-ratio", type=float, default=None,
+                        metavar="R",
+                        help="fail unless batched >= R x single-packet "
+                             "throughput")
     parser.add_argument("--gate-shm-ratio", type=float, default=None,
                         metavar="R",
                         help="fail unless shm >= R x batched throughput "
@@ -260,6 +269,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"  shm x{row['shards']}: "
               f"{row['packets_per_second']:>10,.0f} pkt/s")
     print(f"wrote {args.out}")
+    failed = False
+    if args.gate_batched_ratio is not None:
+        ratio = batched_pps / single_pps
+        if ratio < args.gate_batched_ratio:
+            print(f"batched gate FAILED: batched/single = {ratio:.2f} < "
+                  f"{args.gate_batched_ratio:.2f}")
+            failed = True
+        else:
+            print(f"batched gate ok: batched/single = {ratio:.2f} >= "
+                  f"{args.gate_batched_ratio:.2f}")
     if args.gate_shm_ratio is not None:
         ratio = shm_pps / batched_pps
         if cpu_count < 2:
@@ -269,11 +288,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         elif ratio < args.gate_shm_ratio:
             print(f"shm gate FAILED: shm/batched = {ratio:.2f} < "
                   f"{args.gate_shm_ratio:.2f}")
-            return 1
+            failed = True
         else:
             print(f"shm gate ok: shm/batched = {ratio:.2f} >= "
                   f"{args.gate_shm_ratio:.2f}")
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -73,6 +73,7 @@ class Classifier:
                 rule_list.append(catch_all_rule(schema, default_action))
         self.rules: Tuple[Rule, ...] = tuple(rule_list)
         self._bounds: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._results: Optional[Tuple[MatchResult, ...]] = None
 
     # ------------------------------------------------------------------
     # Container protocol
@@ -110,6 +111,20 @@ class Classifier:
             if rule.matches(header):
                 return MatchResult(i, rule)
         raise AssertionError("catch-all rule failed to match")  # pragma: no cover
+
+    def results_of(self, indices) -> List[MatchResult]:
+        """The :class:`MatchResult` of each rule index in ``indices`` (ints
+        or an integer ndarray), in order.  A result is an immutable
+        (index, rule) value, so batch paths share one per rule instead of
+        allocating one per packet."""
+        if self._results is None:
+            self._results = tuple(
+                MatchResult(i, rule) for i, rule in enumerate(self.rules)
+            )
+        if isinstance(indices, np.ndarray):
+            indices = indices.tolist()
+        results = self._results
+        return [results[i] for i in indices]
 
     def match_batch(
         self, headers: Iterable[Sequence[int]]

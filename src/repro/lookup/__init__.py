@@ -21,7 +21,7 @@ from .backends import (
     select_backend,
 )
 from .interval_map import DisjointIntervalMap
-from .segment_tree import FrozenSegmentTree, SegmentTree
+from .segment_tree import SegmentTree
 from .two_field import TwoFieldIndex
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "DisjointIntervalMap",
     "TreeStats",
     "TupleSpaceClassifier",
-    "FrozenSegmentTree",
     "GroupIndex",
     "LearnedGroupIndex",
     "LinearGroupIndex",

@@ -35,9 +35,12 @@ from ..core.packet import headers_array
 from ..runtime.telemetry import NULL_RECORDER
 from .cascading import CascadingTwoFieldIndex
 from .interval_map import DisjointIntervalMap
-from .two_field import TwoFieldIndex
+from .two_field import TwoFieldIndex, value_array
 
 __all__ = ["GroupIndex", "LinearGroupIndex", "MultiGroupEngine", "build_group_index"]
+
+#: Merge sentinel above every rule index ("no verified candidate").
+_NONE = np.iinfo(np.int64).max
 
 
 class GroupIndex:
@@ -78,15 +81,8 @@ class GroupIndex:
     ) -> np.ndarray:
         """Candidates for a whole batch: int64 array aligned with
         ``headers``, -1 where the group yields no candidate.  ``harr`` is
-        the :func:`~repro.core.packet.headers_array` view of ``headers``;
-        subclasses with vectorizable structures override this."""
-        out = np.full(len(headers), -1, dtype=np.int64)
-        probe = self.probe
-        for j, header in enumerate(headers):
-            candidate = probe(header)
-            if candidate is not None:
-                out[j] = candidate
-        return out
+        the :func:`~repro.core.packet.headers_array` view of ``headers``."""
+        raise NotImplementedError
 
     def reindexed(self, rule_ids: Sequence[int]) -> "GroupIndex":
         """Shallow copy sharing the lookup structure, with slots relabeled
@@ -167,6 +163,10 @@ class _OneFieldIndex(GroupIndex):
             (classifier.rules[idx].intervals[f], slot)
             for slot, idx in enumerate(group.rule_indices)
         )
+        lows, highs, slots = self._map.bounds()
+        self._lows = value_array(lows)
+        self._highs = value_array(highs)
+        self._slots = np.asarray(slots, dtype=np.int64)
 
     def probe(self, header: Sequence[int]) -> Optional[int]:
         return self._translate(self._map.lookup(header[self._field]))
@@ -179,16 +179,14 @@ class _OneFieldIndex(GroupIndex):
     ) -> np.ndarray:
         """Vectorized binary search: one ``searchsorted`` for the whole
         batch instead of B bisects."""
-        lows, highs, payloads = self._map.bounds()
-        if not lows:
+        if not len(self._slots):
             return np.full(len(headers), -1, dtype=np.int64)
         values = harr[:, self._field]
-        lows_arr = np.asarray(lows)
-        pos = np.searchsorted(lows_arr, values, side="right") - 1
+        pos = np.searchsorted(self._lows, values, side="right") - 1
         inside = pos >= 0
         clamped = np.where(inside, pos, 0)
-        inside &= values <= np.asarray(highs)[clamped]
-        result = self.rule_ids[np.asarray(payloads, dtype=np.int64)[clamped]]
+        inside &= values <= self._highs[clamped]
+        result = self.rule_ids[self._slots[clamped]]
         return np.where(inside & (result >= 0), result, np.int64(-1))
 
 
@@ -203,15 +201,24 @@ class _TwoFieldGroupIndex(GroupIndex):
         a, b = group.fields
         self._a = a
         self._b = b
-        structure = CascadingTwoFieldIndex if cascading else TwoFieldIndex
-        self._index = structure(
+        items = [
             (
                 classifier.rules[idx].intervals[a],
                 classifier.rules[idx].intervals[b],
                 slot,
             )
             for slot, idx in enumerate(group.rule_indices)
-        )
+        ]
+        # The flat index serves batches; the cascaded variant, when
+        # asked for, serves single-header probes in O(log N).
+        self._flat = TwoFieldIndex(items)
+        self._index = CascadingTwoFieldIndex(items) if cascading else self._flat
+        self._on_reindexed()
+
+    def _on_reindexed(self) -> None:
+        # Rule ids in the flat index's key order: a batch probe reads
+        # them directly (tombstones read -1).
+        self._key_rules = self._flat.key_labels(self.rule_ids)
 
     def probe(self, header: Sequence[int]) -> Optional[int]:
         return self._translate(self._index.lookup(header[self._a], header[self._b]))
@@ -223,17 +230,10 @@ class _TwoFieldGroupIndex(GroupIndex):
     def probe_batch(
         self, headers: Sequence[Sequence[int]], harr: np.ndarray
     ) -> np.ndarray:
-        """Per-header tree walks with the dispatch hoisted out of the
-        loop (the segment-tree path itself is not batch-vectorizable)."""
-        out = np.full(len(headers), -1, dtype=np.int64)
-        lookup = self._index.lookup
-        rule_ids = self.rule_ids
-        a, b = self._a, self._b
-        for j, header in enumerate(headers):
-            slot = lookup(header[a], header[b])
-            if slot is not None:
-                out[j] = rule_ids[slot]
-        return out
+        """One flat-tree ``searchsorted`` for the whole batch."""
+        return self._flat.locate(
+            harr[:, self._a], harr[:, self._b], self._key_rules
+        )
 
 
 class LinearGroupIndex(GroupIndex):
@@ -286,12 +286,11 @@ class LinearGroupIndex(GroupIndex):
             )
             self._bounds = (slots, lo, hi)
         slots, lo, hi = self._bounds
-        values = harr[:, list(self.fields)]
-        cube = values[:, None, :]
-        ok = ((lo[None, :, :] <= cube) & (cube <= hi[None, :, :])).all(axis=2)
-        hit = ok.any(axis=1)
-        result = self.rule_ids[slots[ok.argmax(axis=1)]]
-        return np.where(hit & (result >= 0), result, np.int64(-1))
+        cube = harr[:, None, self.fields]
+        ok = ((lo <= cube) & (cube <= hi)).all(axis=2)
+        # Tombstoned slots read -1 through rule_ids.
+        found = self.rule_ids[slots][ok.argmax(axis=1)]
+        return np.where(ok.any(axis=1), found, np.int64(-1))
 
 
 def build_group_index(
@@ -426,108 +425,126 @@ class MultiGroupEngine:
         self,
         headers: Sequence[Sequence[int]],
         harr: Optional[np.ndarray] = None,
+        miss: int = -1,
     ) -> np.ndarray:
         """Batched :meth:`lookup`: best verified body-rule index per
-        header (int64, -1 where no group rule matches).
+        header (int64, ``miss`` where no group rule matches).
 
         Probes each group index once for the whole batch, then verifies
-        every candidate on all fields in one vectorized containment test
-        against :meth:`Classifier.bounds_arrays`.  Stats are updated in
-        aggregate; results are identical to per-header :meth:`lookup`.
+        every group's candidates on all fields in one vectorized
+        containment test against :meth:`Classifier.bounds_arrays`, so the
+        fixed per-call cost does not grow with the group count.  Stats
+        are updated in aggregate; results are identical to per-header
+        :meth:`lookup`.
         """
         n = len(headers)
         stats = self.stats
         stats.lookups += n
-        if n == 0:
-            return np.empty(0, dtype=np.int64)
+        if n == 0 or not self.groups:
+            return np.full(n, miss, dtype=np.int64)
         recorder = self.recorder
         instrumented = recorder.enabled
-        heat = recorder.heat if instrumented else None
         if harr is None:
             harr = headers_array(headers, self.classifier.schema)
-        lows, highs = self.classifier.bounds_arrays()
-        best = np.full(n, -1, dtype=np.int64)
-        shadow = self.shadow
-        rules = self.classifier.rules
+        num_groups = len(self.groups)
+        stats.probes += n * num_groups
+        cand = np.empty((num_groups, n), dtype=np.int64)
         for gi, group in enumerate(self.groups):
-            stats.probes += n
-            span = (
-                recorder.span(
+            if instrumented:
+                with recorder.span(
                     "engine.group_probe", group=self._group_keys[gi],
                     batch=n, backend=group.backend,
-                )
-                if instrumented
-                else None
+                ):
+                    cand[gi] = group.probe_batch(headers, harr)
+            else:
+                cand[gi] = group.probe_batch(headers, harr)
+        cand = cand.ravel()
+        flat = np.flatnonzero(cand >= 0)
+        stats.candidates += int(flat.size)
+        # Groups hold disjoint rule sets and a lower index has priority:
+        # the answer is the per-header minimum over verified candidates.
+        # A miss above every body index (the catch-all) fills directly.
+        fill = miss if miss >= len(self.classifier.body) else _NONE
+        merged = np.full(num_groups * n, fill)
+        verified = np.zeros(0, dtype=bool)
+        if flat.size:
+            lows, highs = self.classifier.bounds_arrays()
+            c = cand[flat]
+            h = harr[flat % n]
+            verified = ((lows[c] <= h) & (h <= highs[c])).all(axis=1)
+            stats.false_positives += int(flat.size - verified.sum())
+            merged[flat[verified]] = c[verified]
+        best = merged.reshape(num_groups, n).min(axis=0)
+        if fill != miss:
+            best[best == fill] = miss
+        if instrumented:
+            self._record_batch(n, flat, verified)
+        if self.shadow:
+            self._shadow_batch(
+                headers, cand.reshape(num_groups, n), best, miss
             )
-            if span is not None:
-                span.__enter__()
-            cand = group.probe_batch(headers, harr)
-            has = np.nonzero(cand >= 0)[0]
-            candidates = fp_failures = verified_hits = 0
-            if has.size:
-                candidates = int(has.size)
-                stats.candidates += candidates
-                c = cand[has]
-                h = harr[has]
-                verified = ((lows[c] <= h) & (h <= highs[c])).all(axis=1)
-                verified_hits = int(verified.sum())
-                fp_failures = candidates - verified_hits
-                stats.false_positives += fp_failures
-                rows = has[verified]
-                winners = c[verified]
-                current = best[rows]
-                better = (current < 0) | (winners < current)
-                best[rows[better]] = winners[better]
-            if span is not None:
-                span.__exit__(None, None, None)
-            if instrumented:
-                recorder.incr("groups.probes", n)
-                if candidates:
-                    recorder.incr("groups.fp_checks", candidates)
-                if fp_failures:
-                    recorder.incr("groups.fp_failures", fp_failures)
-                recorder.incr(f"lookup.backend.{group.backend}.probes", n)
-                if candidates:
-                    recorder.incr(
-                        f"lookup.backend.{group.backend}.candidates",
-                        candidates,
-                    )
-                events = group.drain_backend_events()
-                if events:
-                    for name, value in events.items():
-                        recorder.incr(
-                            f"lookup.backend.{group.backend}.{name}",
-                            value,
-                        )
-                    probes = events.get("model_probes", 0)
-                    if probes:
-                        recorder.observe(
-                            "lookup.learned.mispredict_rate",
-                            events.get("mispredicts", 0) / probes,
-                        )
-                if heat is not None:
-                    heat.record_group(
-                        self._group_keys[gi],
-                        probes=n,
-                        candidates=candidates,
-                        fp_failures=fp_failures,
-                        hits=verified_hits,
-                    )
-            if shadow:
-                # Rare path (fresh dynamic inserts riding as extra checks):
-                # only headers whose candidate hosts shadows take the loop.
-                for j in has:
-                    extras = shadow.get(int(cand[j]))
-                    if not extras:
-                        continue
-                    header = headers[j]
-                    for extra in extras:
-                        stats.shadow_checks += 1
-                        if rules[extra].matches(header) and (
-                            best[j] < 0 or extra < best[j]
-                        ):
-                            best[j] = extra
         return best
+
+    def _record_batch(self, n, flat, verified) -> None:
+        """Per-group counters, backend events and heat for one batch."""
+        recorder = self.recorder
+        heat = recorder.heat
+        num_groups = len(self.groups)
+        group_of = flat // n
+        candidates = np.bincount(group_of, minlength=num_groups)
+        hits = np.bincount(group_of[verified], minlength=num_groups)
+        for gi, group in enumerate(self.groups):
+            found = int(candidates[gi])
+            verified_hits = int(hits[gi])
+            fp_failures = found - verified_hits
+            recorder.incr("groups.probes", n)
+            if found:
+                recorder.incr("groups.fp_checks", found)
+            if fp_failures:
+                recorder.incr("groups.fp_failures", fp_failures)
+            recorder.incr(f"lookup.backend.{group.backend}.probes", n)
+            if found:
+                recorder.incr(
+                    f"lookup.backend.{group.backend}.candidates", found
+                )
+            events = group.drain_backend_events()
+            if events:
+                for name, value in events.items():
+                    recorder.incr(
+                        f"lookup.backend.{group.backend}.{name}", value
+                    )
+                probes = events.get("model_probes", 0)
+                if probes:
+                    recorder.observe(
+                        "lookup.learned.mispredict_rate",
+                        events.get("mispredicts", 0) / probes,
+                    )
+            if heat is not None:
+                heat.record_group(
+                    self._group_keys[gi],
+                    probes=n,
+                    candidates=found,
+                    fp_failures=fp_failures,
+                    hits=verified_hits,
+                )
+
+    def _shadow_batch(self, headers, cand, best, miss) -> None:
+        """Rare path (fresh dynamic inserts riding as extra checks): only
+        headers whose candidate hosts shadows take the loop."""
+        rules = self.classifier.rules
+        shadow = self.shadow
+        for row in cand:
+            for j in np.nonzero(row >= 0)[0]:
+                extras = shadow.get(int(row[j]))
+                if not extras:
+                    continue
+                header = headers[j]
+                for extra in extras:
+                    self.stats.shadow_checks += 1
+                    if rules[extra].matches(header) and (
+                        best[j] == miss or extra < best[j]
+                    ):
+                        best[j] = extra
 
     def match(self, header: Sequence[int]) -> MatchResult:
         """Standalone semantics: group rules else the catch-all.  Only

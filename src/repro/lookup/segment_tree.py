@@ -1,6 +1,8 @@
 """Static segment tree over coordinate-compressed intervals.
 
-The backbone of the two-field lookup structure: rules are stabbed into the
+The bucket form of the two-field structure (the fractionally cascaded
+variant builds on it; :class:`~repro.lookup.two_field.TwoFieldIndex` keeps
+the same tree as flat arrays): rules are stabbed into the
 O(log N) canonical nodes covering their first-field interval, and a point
 query visits exactly the root-to-leaf path of nodes whose span contains the
 query value.  Memory is O(N log N) node-slots; with N rules each stored in
@@ -119,57 +121,7 @@ class SegmentTree(Generic[T]):
                 yield from bucket
             node //= 2
 
-    def path_buckets(self, value: int) -> Iterator[List[Tuple[Interval, T]]]:
-        """Yield the non-empty buckets on the query path (the two-field
-        structure binary-searches each bucket instead of scanning it)."""
-        leaf = self._leaf_of(value)
-        if leaf is None:
-            return
-        node = leaf + self._size
-        while node >= 1:
-            bucket = self._nodes[node]
-            if bucket:
-                yield bucket
-            node //= 2
-
-    def freeze(self, transform) -> "FrozenSegmentTree":
-        """Finish construction: map every non-empty bucket through
-        ``transform`` and return an immutable query structure whose
-        :meth:`FrozenSegmentTree.path` yields the transformed buckets."""
-        frozen = {
-            i: transform(bucket)
-            for i, bucket in enumerate(self._nodes)
-            if bucket
-        }
-        return FrozenSegmentTree(self._bounds, self._num_leaves, self._size, frozen)
-
     @property
     def num_slots(self) -> int:
         """Total stored (interval, payload) slots — the memory figure."""
         return sum(len(b) for b in self._nodes if b)
-
-
-class FrozenSegmentTree:
-    """Read-only segment tree whose node payloads were transformed by
-    :meth:`SegmentTree.freeze` (e.g. into binary-searchable maps)."""
-
-    def __init__(self, bounds, num_leaves, size, nodes) -> None:
-        self._bounds = bounds
-        self._num_leaves = num_leaves
-        self._size = size
-        self._nodes = nodes
-
-    def path(self, value: int):
-        """Yield the transformed buckets on the root-to-leaf path of
-        ``value``."""
-        import bisect
-
-        i = bisect.bisect_right(self._bounds, value) - 1
-        if i < 0 or i >= self._num_leaves:
-            return
-        node = i + self._size
-        while node >= 1:
-            bucket = self._nodes.get(node)
-            if bucket is not None:
-                yield bucket
-            node //= 2

@@ -59,11 +59,7 @@ def linear_match_batch(
     one (chunked) containment test over all body rules at once — the
     fallback data path when no built engine is available.
     """
-    rules = classifier.rules
-    return [
-        MatchResult(int(i), rules[int(i)])
-        for i in linear_match_indices(classifier, headers)
-    ]
+    return classifier.results_of(linear_match_indices(classifier, headers))
 
 
 def linear_match_indices(

@@ -272,9 +272,10 @@ class RuntimeService:
     def match_indices(self, headers: Sequence[Sequence[int]]):
         """Winning rule indices for one batch — :meth:`match_batch`
         without the :class:`MatchResult` materialization, same guard
-        ladder, same shed behavior.  Returns an int64 ndarray (or list)
-        in input order; this is what :class:`~repro.net.NetServer`
-        encodes straight onto the wire."""
+        ladder, same shed behavior.  Returns an integer ndarray (int64
+        from an in-process engine, uint32 from shm shards) or a list, in
+        input order; this is what :class:`~repro.net.NetServer` encodes
+        straight onto the wire."""
         return self._serve(headers, self._fast_indices, self._linear_indices)
 
     def _serve(self, headers, fast, linear):

@@ -306,6 +306,7 @@ class ShardedRuntime:
             if mode == "shm":
                 from .shm import ShmWorkerPool
 
+                source_engine = None
                 if classifier is None:
                     source_engine = engine_source()
                     classifier = source_engine.classifier
@@ -322,6 +323,7 @@ class ShardedRuntime:
                     depth=shm_depth,
                     obs_spec=obs_spec,
                     plan=plan,
+                    engine=source_engine,
                 )
                 return
             self.classifier = classifier
@@ -529,11 +531,13 @@ class ShardedRuntime:
         if not len(headers):
             return []
         if self._shm_pool is not None and self._source is not None:
-            # Hot-swap detection: ship one columnar snapshot when the
-            # source engine's rule set changed since the last batch.
-            current = self._source().classifier
+            # Hot-swap detection: ship one columnar snapshot (with the
+            # engine's decomposition) when the source engine's rule set
+            # changed since the last batch.
+            engine = self._source()
+            current = engine.classifier
             if current is not self._shipped_classifier:
-                self._shm_pool.ship_swap(current, self._shm_config)
+                self._shm_pool.ship_swap(current, self._shm_config, engine)
                 self._shipped_classifier = current
                 self.classifier = current
                 self.recorder.incr("runtime.snapshot_ships")
@@ -557,7 +561,9 @@ class ShardedRuntime:
             failed: List[int] = []
             last_traceback = ""
             timed_out = False
-            for i, handle in handles.items():
+            # Newest first: the last chunk submitted tends to finish last,
+            # so the caller sleeps once per batch, not once per chunk.
+            for i, handle in reversed(handles.items()):
                 remaining = None
                 if deadline_s is not None:
                     remaining = max(
@@ -626,11 +632,7 @@ class ShardedRuntime:
             # Shared-engine mode: the rule set moves under hot swaps, so
             # materialize against the engine that is serving right now.
             self.classifier = self._source().classifier
-        rules = self.classifier.rules
-        return [
-            MatchResult(index, rules[index])
-            for index in self.match_indices(headers)
-        ]
+        return self.classifier.results_of(self.match_indices(headers))
 
     # ------------------------------------------------------------------
     # Telemetry fold-back

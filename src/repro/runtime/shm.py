@@ -32,10 +32,18 @@ dispatcher claims a free slot (``seq_done >= seq_submit``), fills
 publishes with ``seq_submit = seq_done + 1``.  The worker answers by
 filling ``results[slot, :count]``, setting the status word and
 publishing ``seq_done = seq_submit``.  Sequence counters only grow, so
-slot reuse (ring wraparound) needs no cleanup.  Both sides poll with a
-short spin-then-sleep; the counters are aligned 8-byte words, and each
-side writes its payload strictly before the sequence store that
-publishes it.
+slot reuse (ring wraparound) needs no cleanup.  The counters are aligned
+8-byte words, and each side writes its payload strictly before the
+sequence store that publishes it.
+
+**Doorbells.**  Nobody polls.  Each worker has a "work" and a "done"
+semaphore: the dispatcher rings work after publishing a slot (and after
+sending a control message), the worker rings done after publishing a
+result, and each side sleeps on its bell between rounds.  A bell only
+says "look again": the sequence words stay the authority, so a stale or
+stolen ring costs one extra check, never a wrong answer.  The waits time
+out, and the dispatcher runs its dead-worker and deadline checks on the
+timeout.
 
 **Failure semantics.**  A worker that dies (chaos ``shard.worker`` crash
 specs call ``os._exit``, like a real segfault) is detected by the
@@ -59,6 +67,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..analysis.mgr import Group
 from ..core.actions import Action, ActionKind
 from ..core.classifier import Classifier
 from ..core.fields import FieldKind, FieldSchema, FieldSpec
@@ -69,6 +78,7 @@ __all__ = [
     "ShmRing",
     "ShmWorkerPool",
     "pack_snapshot",
+    "unpack_decomposition",
     "unpack_snapshot",
 ]
 
@@ -91,12 +101,21 @@ CRASH_EXIT_CODE = 17
 
 SNAPSHOT_VERSION = 1
 
+#: How long an idle worker sleeps on its work bell before re-checking
+#: its control pipe (bounds how long it outlives a vanished dispatcher).
+IDLE_WAIT_S = 0.1
+#: How long a waiting dispatcher sleeps on a done bell between its
+#: dead-worker and deadline checks.
+DONE_WAIT_S = 0.01
+
 
 # ---------------------------------------------------------------------------
 # Columnar snapshot packing
 # ---------------------------------------------------------------------------
 
-def pack_snapshot(classifier: Classifier, config) -> Dict[str, object]:
+def pack_snapshot(
+    classifier: Classifier, config, engine=None
+) -> Dict[str, object]:
     """Pack a classifier + engine config for shipping to workers.
 
     Rules travel as two contiguous ``(N, k)`` int64 bound matrices (the
@@ -106,6 +125,11 @@ def pack_snapshot(classifier: Classifier, config) -> Dict[str, object]:
     graphs.  For the 10k-rule acl workload this is ~1 MB of array bytes
     versus tens of MB of pickle, and unpacking is array reshapes plus one
     flat pass of ``Rule`` construction.
+
+    ``engine`` (serving ``classifier``) adds its decomposition — each
+    group's fields, lookup backend and members as int64 bytes, plus the
+    D indices — so workers compile lookup structures directly instead
+    of re-running the disjointness and grouping stages.
     """
     lows, highs = classifier.bounds_arrays()
     if lows.dtype == object:
@@ -138,7 +162,48 @@ def pack_snapshot(classifier: Classifier, config) -> Dict[str, object]:
             if rule.name is not None
         },
         "config": config,
+        "decomposition": _pack_decomposition(engine),
     }
+
+
+def _pack_decomposition(engine) -> Optional[Dict[str, object]]:
+    """The engine's decomposition in shippable form; None for no engine
+    or one without groups (such as a linear fallback)."""
+    decompose = getattr(engine, "decomposition", None)
+    if decompose is None:
+        return None
+    groups, d_indices, backends = decompose()
+    return {
+        "groups": [
+            (
+                tuple(group.fields),
+                backend,
+                np.asarray(group.rule_indices, dtype=np.int64).tobytes(),
+            )
+            for group, backend in zip(groups, backends)
+        ],
+        "d": np.asarray(d_indices, dtype=np.int64).tobytes(),
+    }
+
+
+def unpack_decomposition(payload: Dict[str, object]):
+    """The shipped ``(groups, d_indices, backends)`` of a snapshot, or
+    None when it carries none."""
+    packed = payload.get("decomposition")
+    if packed is None:
+        return None
+    groups = tuple(
+        Group(
+            rule_indices=tuple(
+                np.frombuffer(members, dtype=np.int64).tolist()
+            ),
+            fields=fields,
+        )
+        for fields, _backend, members in packed["groups"]
+    )
+    backends = tuple(backend for _f, backend, _m in packed["groups"])
+    d_indices = tuple(np.frombuffer(packed["d"], dtype=np.int64).tolist())
+    return groups, d_indices, backends
 
 
 def unpack_snapshot(payload: Dict[str, object]) -> Tuple[Classifier, object]:
@@ -164,21 +229,47 @@ def unpack_snapshot(payload: Dict[str, object]) -> Tuple[Classifier, object]:
         )
     )
     names = payload["names"]
-    actions = payload["actions"]
+    # Rules are immutable, so equal intervals and actions share one
+    # object: a rule set repeats most of them (wildcards, port ranges,
+    # verbs), and a worker's memory is mostly these objects.
+    intervals: Dict[Tuple[int, int], Interval] = {}
+
+    def shared(key: Tuple[int, int]) -> Interval:
+        found = intervals.get(key)
+        if found is None:
+            found = intervals[key] = Interval(*key)
+        return found
+
+    columns = [
+        [
+            shared(key)
+            for key in zip(lows[:, j].tolist(), highs[:, j].tolist())
+        ]
+        for j in range(k)
+    ]
+    verbs: Dict[object, Action] = {}
     rules: List[Rule] = []
-    for i in range(n):
-        kind, action_payload = actions[i]
+    for i, (kind, action_payload) in enumerate(payload["actions"]):
+        try:
+            action = verbs.get((kind, action_payload))
+        except TypeError:  # unhashable payload: not shared
+            action = Action(ActionKind(kind), action_payload)
+        if action is None:
+            action = verbs[(kind, action_payload)] = Action(
+                ActionKind(kind), action_payload
+            )
         rules.append(
             Rule(
-                tuple(
-                    Interval(int(lows[i, j]), int(highs[i, j]))
-                    for j in range(k)
-                ),
-                Action(ActionKind(kind), action_payload),
+                tuple(column[i] for column in columns),
+                action,
                 names.get(i),
             )
         )
-    return Classifier(schema, rules, ensure_catch_all=False), payload["config"]
+    classifier = Classifier(schema, rules, ensure_catch_all=False)
+    # The body rows of the shipped matrices are the classifier's bounds
+    # arrays; seed its cache instead of rebuilding them from the rules.
+    classifier._bounds = (lows[:-1], highs[:-1])
+    return classifier, payload["config"]
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +390,30 @@ def _build_worker_recorder(obs_spec):
     return Telemetry(tracer=tracer, heat=heat)
 
 
+def _pin_to_cpu(worker_id: int) -> None:
+    """Pin worker ``w`` to the w-th allowed CPU (round-robin).
+
+    A doorbell wake-up is a synchronous hand-off, and the scheduler
+    places the woken worker next to its waker: unpinned, the workers of
+    one batch pile onto the dispatcher's CPU and run one after another.
+    Pinning spreads them the way the slot ownership already does."""
+    if not hasattr(os, "sched_setaffinity"):  # pragma: no cover - non-Linux
+        return
+    cpus = sorted(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, {cpus[worker_id % len(cpus)]})
+
+
 def _build_engine(snapshot, recorder):
     from ..saxpac.engine import SaxPacEngine
 
     classifier, config = unpack_snapshot(snapshot)
-    return SaxPacEngine(classifier, config, recorder=recorder)
+    decomposition = unpack_decomposition(snapshot)
+    if decomposition is None:
+        return SaxPacEngine(classifier, config, recorder=recorder)
+    groups, d_indices, backends = decomposition
+    return SaxPacEngine.from_decomposition(
+        classifier, config, groups, d_indices, backends, recorder=recorder
+    )
 
 
 def _shm_worker_main(
@@ -315,17 +425,20 @@ def _shm_worker_main(
     worker_id: int,
     conn,
     status_queue,
+    bells,
     snapshot,
     generation: int,
     obs_spec,
     plan,
 ) -> None:
-    """Worker entry point: poll owned slots, classify in place.
+    """Worker entry point: serve owned slots in place, sleeping on the
+    work bell between rounds.
 
     ``conn`` receives ``("swap", gen, snapshot)`` and ``("stop",)``
     control messages; ``status_queue`` carries readiness, per-slot error
     tracebacks and (when observability is on) telemetry deltas back to
-    the dispatcher.
+    the dispatcher; ``bells`` is the worker's ``(work, done)`` semaphore
+    pair.
     """
     from ..chaos.injector import NULL_INJECTOR
 
@@ -335,6 +448,7 @@ def _shm_worker_main(
 
         injector = FaultInjector(plan)
     recorder = _build_worker_recorder(obs_spec)
+    _pin_to_cpu(worker_id)
     ring = ShmRing(
         num_workers, depth, capacity, k, name=ring_name, create=False
     )
@@ -342,8 +456,8 @@ def _shm_worker_main(
         # The serving loop runs in its own frame so its slot/row views
         # die on return and ring.close() can release the buffer cleanly.
         _shm_worker_loop(
-            ring, worker_id, conn, status_queue, snapshot, generation,
-            recorder, injector,
+            ring, worker_id, conn, status_queue, bells, snapshot,
+            generation, recorder, injector,
         )
     finally:
         ring.close()
@@ -354,6 +468,7 @@ def _shm_worker_loop(
     worker_id: int,
     conn,
     status_queue,
+    bells,
     snapshot,
     generation: int,
     recorder,
@@ -382,6 +497,14 @@ def _shm_worker_loop(
             del engines[stale]
         return new_gen
 
+    def control():
+        """The next control message; a closed pipe means stop."""
+        try:
+            return conn.recv()
+        except (EOFError, OSError):
+            return ("stop",)
+
+    work_bell, done_bell = bells
     ctrl = ring.ctrl
     my_slots = list(ring.slots_of(worker_id))
     pid = os.getpid()
@@ -397,7 +520,7 @@ def _shm_worker_loop(
             while slot_gen not in engines and max(engines) < slot_gen:
                 # The dispatcher ships the swap before stamping any
                 # slot with the new generation, so it is in the pipe.
-                msg = conn.recv()
+                msg = control()
                 if msg[0] == "stop":
                     return
                 if msg[0] == "swap":
@@ -450,17 +573,20 @@ def _shm_worker_loop(
                 )
             # Publish strictly after the result/status stores.
             row[SEQ_DONE] = seq
+            done_bell.release()
         if worked:
             continue
-        # Idle: wait on the control pipe — doubles as the poll sleep
-        # and wakes immediately for swaps/stop, so snapshot builds
-        # happen before the next chunk needs the new engine.
-        if conn.poll(0.0005):
-            msg = conn.recv()
+        # Idle: control messages first (the dispatcher rings the work
+        # bell after sending one, so snapshot builds happen before the
+        # next chunk needs the new engine), then sleep on the bell.
+        if conn.poll():
+            msg = control()
             if msg[0] == "stop":
                 return
             if msg[0] == "swap":
                 generation = apply_swap(msg)
+            continue
+        work_bell.acquire(timeout=IDLE_WAIT_S)
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +613,7 @@ class ShmWorkerPool:
         obs_spec=None,
         plan=None,
         spawn_timeout_s: float = 180.0,
+        engine=None,
     ) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
@@ -512,7 +639,7 @@ class ShmWorkerPool:
         self._crash_grants: Dict[int, int] = {}
         self._ctx = get_context()
         self._lock = threading.Lock()
-        self._snapshot = pack_snapshot(classifier, config)
+        self._snapshot = pack_snapshot(classifier, config, engine)
         self._obs_spec = obs_spec
         self._plan = plan
         self._spawn_timeout_s = spawn_timeout_s
@@ -534,6 +661,11 @@ class ShmWorkerPool:
         self._stash: Dict[Tuple[int, int], Tuple[int, object, bool]] = {}
         self._workers: List[object] = [None] * num_workers
         self._conns: List[object] = [None] * num_workers
+        #: Per-worker (work, done) doorbells; they outlive respawns.
+        self._bells = [
+            (self._ctx.Semaphore(0), self._ctx.Semaphore(0))
+            for _ in range(num_workers)
+        ]
         try:
             for w in range(num_workers):
                 self._spawn(w)
@@ -556,6 +688,7 @@ class ShmWorkerPool:
                 worker,
                 recv,
                 self.status_queue,
+                self._bells[worker],
                 self._snapshot,
                 self.generation,
                 self._obs_spec,
@@ -598,15 +731,17 @@ class ShmWorkerPool:
             time.sleep(0.002)
 
     # -- status channel ------------------------------------------------
-    def _drain_status(self) -> None:
-        """Pull everything off the status queue (never blocks)."""
+    def _drain_status(self, wait_s: float = 0.0) -> None:
+        """Pull everything off the status queue; with ``wait_s``, first
+        block up to that long for one item."""
         import queue as _queue
 
         while True:
             try:
-                item = self.status_queue.get_nowait()
+                item = self.status_queue.get(wait_s > 0, wait_s or None)
             except (_queue.Empty, OSError, EOFError):
                 return
+            wait_s = 0.0
             kind = item[0]
             if kind == "error":
                 _, worker, slot, seq, tb = item
@@ -629,13 +764,11 @@ class ShmWorkerPool:
         must not hang the dispatcher."""
         deadline = time.monotonic() + timeout_s
         while self._deltas_received < self._deltas_flagged:
-            self._drain_status()
-            if self._deltas_received >= self._deltas_flagged:
-                return
-            if time.monotonic() > deadline:  # pragma: no cover - crash race
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:  # pragma: no cover - crash race
                 self._deltas_flagged = self._deltas_received
                 return
-            time.sleep(0.0002)
+            self._drain_status(wait_s=min(DONE_WAIT_S, remaining))
 
     def take_deltas(self) -> List[object]:
         """Telemetry deltas shipped by workers since the last call."""
@@ -645,21 +778,23 @@ class ShmWorkerPool:
         return deltas
 
     # -- hot swap ------------------------------------------------------
-    def ship_swap(self, classifier: Classifier, config) -> int:
-        """Pack ``classifier`` once and ship it to every worker; returns
-        the new generation.  Subsequent submits stamp slots with it, so
-        workers upgrade before serving any new-generation chunk while
+    def ship_swap(self, classifier: Classifier, config, engine=None) -> int:
+        """Pack ``classifier`` (with ``engine``'s decomposition, when
+        given) once and ship it to every worker; returns the new
+        generation.  Subsequent submits stamp slots with it, so workers
+        upgrade before serving any new-generation chunk while
         old-generation slots still get the old engine."""
-        snapshot = pack_snapshot(classifier, config)
+        snapshot = pack_snapshot(classifier, config, engine)
         with self._lock:
             self.generation += 1
             self._snapshot = snapshot
-            for conn in self._conns:
+            for worker, conn in enumerate(self._conns):
                 if conn is not None:
                     try:
                         conn.send(("swap", self.generation, snapshot))
                     except (BrokenPipeError, OSError):
                         pass  # dead worker; respawn ships the snapshot
+                    self._bells[worker][0].release()
             return self.generation
 
     # -- data path -----------------------------------------------------
@@ -703,8 +838,7 @@ class ShmWorkerPool:
                             prior_seq, prior_count = prior
                             self._stash[(slot, prior_seq)] = (
                                 int(row[STATUS]),
-                                self.ring.results[slot, :prior_count]
-                                .astype(np.int64),
+                                self.ring.results[slot, :prior_count].copy(),
                                 bool(row[DELTA_FLAG]),
                             )
                         self.ring.packets[slot, :count] = block
@@ -721,6 +855,7 @@ class ShmWorkerPool:
                         self._unread[slot] = (seq, count)
                         # Publish strictly after the payload stores.
                         row[SEQ_SUBMIT] = seq
+                        self._bells[worker][0].release()
                         return worker, slot, seq, count
             process = self._workers[worker]
             if process is None or not process.is_alive():
@@ -736,8 +871,10 @@ class ShmWorkerPool:
     def wait(
         self, handle: Tuple[int, int, int, int], timeout_s: Optional[float]
     ):
-        """Wait for a submitted slot: ``("ok", int64 indices)``,
-        ``("err", traceback text)`` or ``("timeout", None)``.
+        """Wait for a submitted slot: ``("ok", uint32 indices)``,
+        ``("err", traceback text)`` or ``("timeout", None)``.  The
+        indices keep the result slab's uint32 form — the form the wire
+        encodes — rather than widening every answer to int64.
 
         Detects a dead worker mid-wait, reclaims its slots and respawns
         it — the caller sees a retryable error, never a hang."""
@@ -747,8 +884,14 @@ class ShmWorkerPool:
         deadline = (
             time.monotonic() + timeout_s if timeout_s is not None else None
         )
-        spins = 0
+        done_bell = self._bells[worker][1]
+        rung = False
         while row[SEQ_DONE] < seq:
+            # A ring may belong to another slot of this worker; the loop
+            # re-checks the sequence word either way.
+            if done_bell.acquire(timeout=DONE_WAIT_S):
+                rung = True
+                continue
             process = self._workers[worker]
             if process is None or not process.is_alive():
                 self.respawn_worker(worker)
@@ -760,9 +903,10 @@ class ShmWorkerPool:
                     if self._unread.get(slot, (None, 0))[0] == seq:
                         del self._unread[slot]
                 return "timeout", None
-            spins += 1
-            if spins > 20:
-                time.sleep(0.0005)
+        if not rung:
+            # Already done on arrival: take this completion's ring so
+            # rings left unheard do not pile up on the bell.
+            done_bell.acquire(False)
         with self._lock:
             stashed = self._stash.pop((slot, seq), None)
             if stashed is not None:
@@ -774,7 +918,7 @@ class ShmWorkerPool:
                 status = int(row[STATUS]) if done else -1
                 had_flag = bool(row[DELTA_FLAG]) and done
                 results = (
-                    self.ring.results[slot, :count].astype(np.int64)
+                    self.ring.results[slot, :count].copy()
                     if done and status == STATUS_OK
                     else None
                 )
@@ -885,12 +1029,13 @@ class ShmWorkerPool:
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
         """Stop the workers, reap them, release the segment.  Idempotent."""
-        for conn in self._conns:
+        for worker, conn in enumerate(self._conns):
             if conn is not None:
                 try:
                     conn.send(("stop",))
                 except (BrokenPipeError, OSError):
                     pass
+                self._bells[worker][0].release()
         for process in self._workers:
             if process is not None:
                 process.join(timeout=2.0)

@@ -35,6 +35,7 @@ from ..core.packet import headers_array
 from ..lookup.group_engine import MultiGroupEngine
 from ..runtime.telemetry import NULL_RECORDER
 from ..tcam.encoding import BinaryRangeEncoder, RangeEncoder
+from ..tcam.bitset import BitsetTcam
 from ..tcam.tcam import build_tcam
 from .config import EngineConfig
 
@@ -207,16 +208,47 @@ class SaxPacEngine:
             )
             if cfg.enforce_cache:
                 grouping = enforce_cache_property(classifier, grouping)
+        self._compile(grouping, stages)
+
+    def _compile(
+        self,
+        grouping: MGRResult,
+        stages: List[Tuple[str, float]],
+        backends: Optional[Sequence[str]] = None,
+    ) -> None:
+        """Lookup structures for a decomposition: one index per group
+        (``backends`` forces each group's backend, else the configured
+        policy picks), then D programmed into the TCAM and its bitsets."""
+        cfg = self.config
+        classifier = self.classifier
         self.grouping = grouping
         with self._stage("lookup", stages):
-            self.software = MultiGroupEngine(
-                classifier,
-                grouping.groups,
-                cascading=cfg.use_cascading,
-                recorder=self.recorder,
-                backend=cfg.lookup_backend,
-                heat=self._heat_groups(),
-            )
+            if backends is None:
+                self.software = MultiGroupEngine(
+                    classifier,
+                    grouping.groups,
+                    cascading=cfg.use_cascading,
+                    recorder=self.recorder,
+                    backend=cfg.lookup_backend,
+                    heat=self._heat_groups(),
+                )
+            else:
+                from ..lookup.group_engine import build_group_index
+
+                self.software = MultiGroupEngine(
+                    classifier,
+                    (),
+                    cascading=cfg.use_cascading,
+                    recorder=self.recorder,
+                    prebuilt=[
+                        build_group_index(
+                            classifier, group, cfg.use_cascading,
+                            backend=name,
+                        )
+                        for group, name in zip(grouping.groups, backends)
+                    ],
+                    backend=cfg.lookup_backend,
+                )
         self._d_indices: Tuple[int, ...] = grouping.ungrouped
         with self._stage("tcam", stages):
             self._tcam, self._tcam_view = build_tcam(
@@ -225,13 +257,53 @@ class SaxPacEngine:
                 rule_indices=self._d_indices,
                 capacity=cfg.d_capacity,
             )
+            self._d_bits = BitsetTcam.from_classifier(
+                classifier, self._d_indices
+            )
         self.d_lookups_skipped = 0
-        self._d_bounds: Optional[
-            Tuple[np.ndarray, np.ndarray, np.ndarray]
-        ] = None
         self.build_stages: Tuple[Tuple[str, float], ...] = tuple(stages)
         self.build_seconds: float = sum(dt for _, dt in stages)
         self.build_incremental: bool = False
+
+    @classmethod
+    def from_decomposition(
+        cls,
+        classifier: Classifier,
+        config: Optional[EngineConfig],
+        groups: Sequence[Group],
+        d_indices: Sequence[int],
+        backends: Sequence[str],
+        recorder=None,
+        injector=None,
+    ) -> "SaxPacEngine":
+        """An engine serving a decomposition computed by another engine
+        over the same rules (``groups``, their ``backends`` and the D
+        indices, as :meth:`decomposition` returns them).  Skips the
+        disjointness and grouping stages — shared-memory shard workers
+        compile a snapshot this way — and answers exactly like any
+        engine over ``classifier``."""
+        self = cls.__new__(cls)
+        self.classifier = classifier
+        self.config = config or EngineConfig()
+        self.encoder = BinaryRangeEncoder()
+        self.recorder = recorder if recorder is not None else NULL_RECORDER
+        self.injector = injector if injector is not None else NULL_INJECTOR
+        l = min(self.config.max_group_fields, classifier.num_fields)
+        grouping = MGRResult(tuple(groups), tuple(sorted(d_indices)), l)
+        self._compile(grouping, [], backends=backends)
+        return self
+
+    def decomposition(
+        self,
+    ) -> Tuple[Tuple[Group, ...], Tuple[int, ...], Tuple[str, ...]]:
+        """``(groups, d_indices, backends)``: live group members and
+        fields, the order-dependent part, and each group's lookup
+        backend — what :meth:`from_decomposition` needs."""
+        return (
+            self.grouping.groups,
+            self._d_indices,
+            tuple(index.backend for index in self.software.groups),
+        )
 
     # ------------------------------------------------------------------
     # Incremental rebuild
@@ -375,6 +447,7 @@ class SaxPacEngine:
                 capacity=cfg.d_capacity,
                 pattern_cache=cache,
             )
+            d_bits = BitsetTcam.from_classifier(new_classifier, d_indices)
         groups = tuple(
             Group(
                 rule_indices=tuple(
@@ -395,6 +468,7 @@ class SaxPacEngine:
             d_indices=d_indices,
             tcam=tcam,
             tcam_view=tcam_view,
+            d_bits=d_bits,
             stages=tuple(stages),
             injector=self.injector,
         )
@@ -450,6 +524,7 @@ class SaxPacEngine:
         d_indices: Tuple[int, ...],
         tcam,
         tcam_view,
+        d_bits: BitsetTcam,
         stages: Tuple[Tuple[str, float], ...],
         injector=None,
     ) -> "SaxPacEngine":
@@ -464,8 +539,8 @@ class SaxPacEngine:
         self._d_indices = d_indices
         self._tcam = tcam
         self._tcam_view = tcam_view
+        self._d_bits = d_bits
         self.d_lookups_skipped = 0
-        self._d_bounds = None
         self.build_stages = stages
         self.build_seconds = sum(dt for _, dt in stages)
         self.build_incremental = True
@@ -519,18 +594,15 @@ class SaxPacEngine:
     ) -> List[MatchResult]:
         """Batched :meth:`match`: identical results, amortized cost.
 
-        Each group index is probed once for the whole batch (vectorized
-        where the structure allows), candidate verification runs as one
-        containment test, and the order-dependent part D is matched with a
-        vectorized first-match over its interval bounds instead of the
-        row-at-a-time TCAM walk.  TCAM lookup/activation counters advance
-        in aggregate so power-proxy experiments stay comparable.
+        Each group index is probed once for the whole batch, candidate
+        verification runs as one containment test, and the order-dependent
+        part D is matched by its per-field bitsets
+        (:class:`~repro.tcam.bitset.BitsetTcam`, the batch model of the
+        TCAM's parallel first-match) instead of the row-at-a-time TCAM
+        walk.  TCAM lookup/activation counters advance in aggregate so
+        power-proxy experiments stay comparable.
         """
-        rules = self.classifier.rules
-        return [
-            MatchResult(int(i), rules[int(i)])
-            for i in self.match_batch_indices(headers)
-        ]
+        return self.classifier.results_of(self.match_batch_indices(headers))
 
     def match_batch_indices(
         self, headers: Sequence[Sequence[int]]
@@ -557,15 +629,16 @@ class SaxPacEngine:
         rules = self.classifier.rules
         catch_all = len(rules) - 1
         harr = headers_array(headers, self.classifier.schema)
-        soft = self.software.lookup_batch(headers, harr)
-        hit = soft >= 0
+        best = self.software.lookup_batch(headers, harr, miss=catch_all)
+        if recorder.enabled:
+            software_hits = int((best < catch_all).sum())
+        need_d = None
+        probed = n
         if self.config.enforce_cache:
-            need_d = ~hit
-            self.d_lookups_skipped += int(hit.sum())
-        else:
-            need_d = np.ones(n, dtype=bool)
-        best = np.where(hit, soft, np.int64(catch_all))
-        probed = int(need_d.sum())
+            # MRCC: a software hit outranks every D rule that matches.
+            need_d = np.flatnonzero(best == catch_all)
+            probed = len(need_d)
+            self.d_lookups_skipped += n - probed
         # One simulated TCAM cycle per non-skipped packet.
         self._tcam.lookups += probed
         self._tcam.row_activations += probed * len(self._tcam)
@@ -578,21 +651,23 @@ class SaxPacEngine:
             )
             if d_span is not None:
                 d_span.__enter__()
-            d_best = self._d_match_batch(harr[need_d])
+            rows = harr if need_d is None else harr[need_d]
+            d_best = self._d_bits.match(rows)
             if d_span is not None:
                 d_span.__exit__(None, None, None)
-            d_hits = int((d_best >= 0).sum())
-            best[need_d] = np.minimum(
-                best[need_d],
-                np.where(d_best >= 0, d_best, np.int64(catch_all)),
-            )
+            if need_d is None:
+                np.minimum(best, d_best, out=best)
+            else:
+                best[need_d] = np.minimum(best[need_d], d_best)
+            if recorder.enabled:
+                d_hits = int((d_best < catch_all).sum())
         if recorder.enabled:
             recorder.incr("engine.lookups", n)
             recorder.incr("engine.batches")
             recorder.incr(
                 "engine.group_probes", n * len(self.software.groups)
             )
-            recorder.incr("engine.software_hits", int(hit.sum()))
+            recorder.incr("engine.software_hits", software_hits)
             recorder.incr("engine.d_probes", probed)
             recorder.incr("engine.d_skipped", n - probed)
             heat = recorder.heat
@@ -605,30 +680,6 @@ class SaxPacEngine:
                 "engine.match_batch", time.perf_counter() - start
             )
         return best
-
-    def _d_match_batch(self, harr: np.ndarray) -> np.ndarray:
-        """Vectorized first match over the order-dependent part D: body
-        rule index per header, -1 where no D rule matches.  Chunked so the
-        (chunk, |D|, k) containment cube stays within a bounded footprint."""
-        if self._d_bounds is None:
-            lows, highs = self.classifier.bounds_arrays()
-            d = np.asarray(self._d_indices, dtype=np.int64)
-            self._d_bounds = (d, lows[d], highs[d])
-        d, dlo, dhi = self._d_bounds
-        total = harr.shape[0]
-        out = np.full(total, -1, dtype=np.int64)
-        chunk = max(1, 4_000_000 // max(1, len(d) * harr.shape[1]))
-        for lo in range(0, total, chunk):
-            h = harr[lo : lo + chunk]
-            cube = h[:, None, :]
-            ok = ((dlo[None, :, :] <= cube) & (cube <= dhi[None, :, :])).all(
-                axis=2
-            )
-            hit = ok.any(axis=1)
-            # D indices are sorted ascending = priority order, so the
-            # first True column is the highest-priority D match.
-            out[lo : lo + chunk][hit] = d[ok.argmax(axis=1)[hit]]
-        return out
 
     def classify(self, header: Sequence[int]) -> Action:
         """Action of the highest-priority matching rule."""

@@ -1,5 +1,6 @@
 """TCAM substrate: ternary entries, range encodings, simulator, costs."""
 
+from .bitset import BitsetTcam
 from .cost import (
     STANDARD_ROW_WIDTHS,
     SpaceReport,
@@ -25,6 +26,7 @@ from .updates import ManagedTcam, UpdateStats
 
 __all__ = [
     "BinaryRangeEncoder",
+    "BitsetTcam",
     "RangeEncoder",
     "STANDARD_ROW_WIDTHS",
     "SpaceReport",

@@ -10,6 +10,7 @@ mechanisms it relies on at a size the fast lane can afford.
 import random
 import threading
 import time
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -51,6 +52,31 @@ def make_blocks(classifier, total, size, seed):
     return trace, [
         trace[i : i + size] for i in range(0, total, size)
     ]
+
+
+class KillAfter(Sequence):
+    """``blocks`` as a sequence that runs ``action`` (once, in the
+    reading thread, while other readers wait) when the ``after``-th
+    block is read."""
+
+    def __init__(self, blocks, after, action) -> None:
+        self.blocks = blocks
+        self.after = after
+        self.action = action
+        self.reads = 0
+        self.fired = False
+        self.lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self.blocks)
+
+    def __getitem__(self, i):
+        with self.lock:
+            self.reads += 1
+            if self.reads == self.after:
+                self.action()
+                self.fired = True
+        return self.blocks[i]
 
 
 @pytest.fixture
@@ -204,13 +230,15 @@ class TestReplicaSet:
     def test_kill_mid_stream_zero_wrong_answers(self, cluster3):
         classifier, cluster = cluster3
         trace, blocks = make_blocks(classifier, 6000, 8, seed=17)
+        # The kill fires from inside the stream, once 100 of its 750
+        # blocks were handed to the pumps: always mid-stream, however
+        # fast the replicas answer.
+        stream = KillAfter(
+            blocks, 100, lambda: cluster.kill("replica-1")
+        )
         with cluster.replica_set(retries=2, timeout_s=10.0) as rs:
-            killer = threading.Timer(
-                0.15, cluster.kill, args=("replica-1",)
-            )
-            killer.start()
-            answers = rs.match_many(blocks)
-            killer.join()
+            answers = rs.match_many(stream)
+        assert stream.fired
         got = [int(x) for a in answers for x in a]
         assert got == oracle_indices(classifier, trace)
         assert rs.alive() == ["replica-0", "replica-2"]

@@ -16,7 +16,11 @@ from repro.chaos.injector import FaultInjector
 from repro.chaos.plan import FaultPlan
 from repro.core import Classifier, make_rule, uniform_schema
 from repro.runtime.shard import ShardedRuntime
-from repro.runtime.shm import pack_snapshot, unpack_snapshot
+from repro.runtime.shm import (
+    pack_snapshot,
+    unpack_decomposition,
+    unpack_snapshot,
+)
 from repro.runtime.telemetry import Telemetry
 from repro.saxpac.config import EngineConfig
 from repro.saxpac.engine import SaxPacEngine
@@ -53,6 +57,26 @@ class TestSnapshot:
         rebuilt, _ = unpack_snapshot(pack_snapshot(named, EngineConfig()))
         assert rebuilt.rules[0].name == "R1"
         assert rebuilt.rules[1].name == named.rules[1].name
+
+    def test_snapshot_ships_the_engine_decomposition(self, setup):
+        classifier, trace, _, expected = setup
+        engine = SaxPacEngine(classifier)
+        payload = pack_snapshot(classifier, EngineConfig(), engine)
+        rebuilt, config = unpack_snapshot(payload)
+        groups, d_indices, backends = unpack_decomposition(payload)
+        assert (groups, d_indices, backends) == engine.decomposition()
+        worker = SaxPacEngine.from_decomposition(
+            rebuilt, config, groups, d_indices, backends
+        )
+        # No disjointness or grouping stage ran on the worker side.
+        assert [name for name, _ in worker.build_stages] == [
+            "lookup", "tcam"
+        ]
+        assert worker.report() == engine.report()
+        assert list(worker.match_batch_indices(trace)) == expected
+        assert pack_snapshot(classifier, EngineConfig())[
+            "decomposition"
+        ] is None
 
     def test_snapshot_is_columnar_not_pickled_rules(self, setup):
         classifier, _, _, _ = setup

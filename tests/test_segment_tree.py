@@ -72,19 +72,3 @@ class TestComplexity:
             tree.insert(iv, 0)
         n = len(intervals)
         assert tree.num_slots <= n * (2 * math.ceil(math.log2(2 * n)) + 2)
-
-
-class TestFreeze:
-    def test_freeze_transforms_buckets(self):
-        rng = random.Random(44)
-        intervals = _random_intervals(rng, 30)
-        tree = SegmentTree(intervals)
-        for i, iv in enumerate(intervals):
-            tree.insert(iv, i)
-        frozen = tree.freeze(lambda bucket: [p for _iv, p in bucket])
-        for value in range(0, 125, 5):
-            got = sorted(p for bucket in frozen.path(value) for p in bucket)
-            expected = sorted(
-                i for i, iv in enumerate(intervals) if iv.contains(value)
-            )
-            assert got == expected
