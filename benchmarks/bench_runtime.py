@@ -1,16 +1,16 @@
-"""Serving-pipeline throughput: single vs batched vs the shard modes.
+"""Serving-pipeline throughput: single vs batched vs shm shards.
 
 Standalone script (not a pytest-benchmark module) so CI can smoke it:
 
     python benchmarks/bench_runtime.py --quick
 
 Builds a generated classifier, replays a rule-targeted trace through the
-data paths of :mod:`repro.runtime` — single-packet, batched, and the
-three shard modes (``thread`` / ``process`` / ``shm``) — verifies the
-fast paths against the linear-scan ground truth on a sample, and writes
-``BENCH_runtime.json`` with packets/sec for each path plus the headline
-speedups.  The shm rows also sweep worker counts (1/2/4, capped by
-``--shards``) into a scaling curve.
+data paths of :mod:`repro.runtime` — single-packet, batched, and shm
+shard workers — verifies the fast paths against the linear-scan ground
+truth on a sample, and writes ``BENCH_runtime.json`` with packets/sec
+for each path plus the headline speedups.  The shm rows sweep worker
+counts (1/2/4 and ``--shards``, capped by ``--shards``) into a scaling
+curve; the ``sharded`` row is its ``--shards`` point.
 
 Batched and sharded rows are fed the *wire form* of the trace — one
 contiguous uint32 ndarray, exactly what the net decoder hands the
@@ -78,21 +78,16 @@ def _measure_batched(engine, block: np.ndarray, batch_size: int) -> dict:
     return result
 
 
-def _make_sharded(engine, shards: int, mode: str) -> ShardedRuntime:
-    if mode in ("process", "shm"):
-        return ShardedRuntime(
-            classifier=engine.classifier,
-            config=engine.config,
-            num_shards=shards,
-            mode=mode,
-        )
-    return ShardedRuntime(engine=engine, num_shards=shards)
+def _make_sharded(engine, shards: int) -> ShardedRuntime:
+    return ShardedRuntime(
+        classifier=engine.classifier, config=engine.config, num_shards=shards
+    )
 
 
 def _measure_sharded(
-    engine, block: np.ndarray, batch_size: int, shards: int, mode: str
+    engine, block: np.ndarray, batch_size: int, shards: int
 ) -> dict:
-    with _make_sharded(engine, shards, mode) as runtime:
+    with _make_sharded(engine, shards) as runtime:
         # One warm-up batch keeps pool spin-up out of the timing.
         runtime.match_indices(block[:batch_size])
         start = time.perf_counter()
@@ -100,7 +95,7 @@ def _measure_sharded(
             runtime.match_indices(batch)
         seconds = time.perf_counter() - start
     result = _rates(len(block), seconds)
-    result.update(batch_size=batch_size, shards=shards, mode=mode)
+    result.update(batch_size=batch_size, shards=shards)
     return result
 
 
@@ -134,7 +129,7 @@ def _verify_shm(engine, classifier, block: np.ndarray, sample: int) -> int:
     shared-memory workers must equal ``Classifier.match_batch``."""
     sub = block[:sample]
     expected = [r.index for r in classifier.match_batch(sub)]
-    with _make_sharded(engine, 2, "shm") as runtime:
+    with _make_sharded(engine, 2) as runtime:
         got = list(runtime.match_indices(sub))
     if got != expected:
         bad = next(i for i, (g, w) in enumerate(zip(got, expected)) if g != w)
@@ -156,12 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="packets for the (slow) single-packet "
                              "baseline; per-packet cost is extrapolated")
     parser.add_argument("--batch-size", type=int, default=1024)
-    parser.add_argument("--shards", type=int, default=4)
-    parser.add_argument("--shard-mode",
-                        choices=("thread", "process", "shm"),
-                        default="shm",
-                        help="mode reported in the top-level 'sharded' "
-                             "row (all three are measured)")
+    parser.add_argument("--shards", type=int, default=4,
+                        help="shm workers of the 'sharded' row")
     parser.add_argument("--seed", type=int, default=2014,
                         help="workload RNG seed (reproducible numbers)")
     parser.add_argument("--quick", action="store_true",
@@ -202,21 +193,15 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     single = _measure_single(engine, trace[: args.single_sample])
     batched = _measure_batched(engine, block, args.batch_size)
-    modes = {
-        mode: _measure_sharded(
-            engine, block, args.batch_size, args.shards, mode
-        )
-        for mode in ("thread", "process", "shm")
-    }
     scaling = [
-        _measure_sharded(engine, block, args.batch_size, workers, "shm")
-        for workers in (1, 2, 4)
+        _measure_sharded(engine, block, args.batch_size, workers)
+        for workers in sorted({1, 2, 4, args.shards})
         if workers <= args.shards
     ]
-    sharded = modes[args.shard_mode]
+    sharded = scaling[-1]
     single_pps = single["packets_per_second"]
     batched_pps = batched["packets_per_second"]
-    shm_pps = modes["shm"]["packets_per_second"]
+    shm_pps = sharded["packets_per_second"]
     result = {
         "benchmark": "runtime-throughput",
         "config": {
@@ -225,7 +210,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "trace": len(trace),
             "batch_size": args.batch_size,
             "shards": args.shards,
-            "shard_mode": args.shard_mode,
             "seed": args.seed,
             "quick": args.quick,
         },
@@ -242,12 +226,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         "single": single,
         "batched": batched,
         "sharded": sharded,
-        "sharded_modes": modes,
         "shm_scaling": scaling,
         "speedup_batched_vs_single": round(batched_pps / single_pps, 2),
-        "speedup_sharded_vs_single": round(
-            sharded["packets_per_second"] / single_pps, 2
-        ),
+        "speedup_sharded_vs_single": round(shm_pps / single_pps, 2),
         "speedup_shm_vs_batched": round(shm_pps / batched_pps, 2),
     }
     with open(args.out, "w") as handle:
@@ -260,11 +241,6 @@ def main(argv: Optional[List[str]] = None) -> int:
           f"({single['packets']} pkts)")
     print(f"  batched: {batched_pps:>12,.0f} pkt/s "
           f"({result['speedup_batched_vs_single']:.1f}x single)")
-    for mode in ("thread", "process", "shm"):
-        row = modes[mode]
-        print(f"  {mode:<7}: {row['packets_per_second']:>12,.0f} pkt/s "
-              f"({row['packets_per_second'] / single_pps:.1f}x single, "
-              f"{args.shards} shards)")
     for row in scaling:
         print(f"  shm x{row['shards']}: "
               f"{row['packets_per_second']:>10,.0f} pkt/s")

@@ -6,8 +6,8 @@ Standalone script (not a pytest module) so CI can run it:
 
 Stands up a 3-replica :class:`~repro.net.cluster.LocalCluster` with
 per-replica chaos armed (``net.conn`` connection crashes + corrupt
-response frames, ``shard.worker`` crashes inside each replica's thread
-shards) and pushes ``--requests`` pipelined requests through a
+response frames, ``shard.worker`` crashes inside each replica's shm
+shard workers) and pushes ``--requests`` pipelined requests through a
 :class:`~repro.net.cluster.ReplicaSet`.  Mid-stream, on a schedule tied
 to progress, it:
 
@@ -83,8 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="packets per request")
     parser.add_argument("--replicas", type=int, default=3)
     parser.add_argument("--shards", type=int, default=2,
-                        help="thread shards per replica (the shard.worker "
-                             "chaos site lives inside them)")
+                        help="shm shard worker processes per replica (the "
+                             "shard.worker chaos site lives inside them)")
     parser.add_argument("--pool", type=int, default=50_000,
                         help="distinct packets in the cycled pool (the "
                              "linear oracle is computed once over these)")

@@ -11,15 +11,15 @@ Two implementations share one duck-typed interface, mirroring the
   injection in :attr:`~FaultInjector.injected` so tests can assert on
   exactly what fired.
 
-Sharing semantics: shard replicas are deep copies of a built engine, and
-the injector must behave as one global fault budget across them, so
-``FaultInjector`` deep-copies to *itself*.  Process workers cannot share
-memory — ship them the plan (it pickles) and arm a worker-local injector.
+Shard workers are separate processes and cannot share an injector, so
+their sites are split in two: the dispatcher takes each chunk's
+decisions against the one injector (:meth:`FaultInjector.decide`, which
+keeps budgets, ``after`` and tallies fleet-wide), and the worker enacts
+them with :func:`inject`.
 """
 
 from __future__ import annotations
 
-import copy
 import random
 import threading
 import time
@@ -33,6 +33,7 @@ __all__ = [
     "InjectedFault",
     "NULL_INJECTOR",
     "NullInjector",
+    "inject",
 ]
 
 
@@ -42,6 +43,24 @@ class InjectedFault(RuntimeError):
 
 class InjectedCrash(InjectedFault):
     """An injected worker/build crash (kind ``crash``)."""
+
+
+def inject(spec: FaultSpec, site: str, **ctx) -> None:
+    """Enact ``spec`` at ``site``: sleep for slow/hang kinds, raise for
+    crash/error kinds.  ``ctx`` is appended to the raised message for
+    debuggability."""
+    if spec.kind in ("hang", "slow"):
+        time.sleep(spec.delay)
+        return
+    detail = spec.message or f"injected {spec.kind}"
+    if ctx:
+        tags = " ".join(f"{k}={v}" for k, v in sorted(ctx.items()))
+        detail = f"{detail} [{site} {tags}]"
+    else:
+        detail = f"{detail} [{site}]"
+    if spec.kind == "crash":
+        raise InjectedCrash(detail)
+    raise InjectedFault(detail)
 
 
 class NullInjector:
@@ -84,15 +103,16 @@ class FaultInjector:
         #: ``(site, kind)`` -> number of injections so far.
         self.injected: Dict[Tuple[str, str], int] = {}
         #: Optional repro.obs Tracer; when set, each injection stamps a
-        #: ``chaos.injected`` event onto the active span.  Never travels
-        #: through __deepcopy__/__reduce__ (both rebuild from the plan).
+        #: ``chaos.injected`` event onto the active span.  Shard-worker
+        #: faults are decided in this process, so they stamp it too.
         self.tracer = None
 
     # -- decision ------------------------------------------------------
     def _decide(
         self, site: str, exclude_corrupt: bool
-    ) -> Optional[FaultSpec]:
-        """Pick the spec (if any) that fires on this visit to ``site``."""
+    ) -> Optional[Tuple[int, FaultSpec]]:
+        """Pick the spec (if any) that fires on this visit to ``site``,
+        with its index in the plan."""
         with self._lock:
             visit = self._visits.get(site, 0)
             self._visits[site] = visit + 1
@@ -112,39 +132,34 @@ class FaultInjector:
                 self._fired[i] = fired + 1
                 key = (site, spec.kind)
                 self.injected[key] = self.injected.get(key, 0) + 1
-                return spec
-        return None
+                found = i, spec
+                break
+            else:
+                return None
+        if self.tracer is not None:
+            self.tracer.event("chaos.injected", site=site, kind=spec.kind)
+        return found
 
     # -- the hooks the runtime calls -----------------------------------
     def fire(self, site: str, **ctx) -> None:
         """Visit ``site``: sleep for slow/hang specs, raise for
-        crash/error specs, return silently otherwise.  ``ctx`` is
-        appended to the raised message for debuggability."""
-        spec = self._decide(site, exclude_corrupt=True)
-        if spec is None:
-            return
-        if self.tracer is not None:
-            self.tracer.event("chaos.injected", site=site, kind=spec.kind)
-        if spec.kind in ("hang", "slow"):
-            time.sleep(spec.delay)
-            return
-        detail = spec.message or f"injected {spec.kind}"
-        if ctx:
-            tags = " ".join(f"{k}={v}" for k, v in sorted(ctx.items()))
-            detail = f"{detail} [{site} {tags}]"
-        else:
-            detail = f"{detail} [{site}]"
-        if spec.kind == "crash":
-            raise InjectedCrash(detail)
-        raise InjectedFault(detail)
+        crash/error specs, return silently otherwise (see
+        :func:`inject`)."""
+        found = self._decide(site, exclude_corrupt=True)
+        if found is not None:
+            inject(found[1], site, **ctx)
+
+    def decide(self, site: str) -> Optional[Tuple[int, FaultSpec]]:
+        """:meth:`fire` without the action: the ``(plan index, spec)``
+        firing on this visit to ``site`` (counted and traced as an
+        injection), or None.  For sites another process enacts with
+        :func:`inject` — shard workers."""
+        return self._decide(site, exclude_corrupt=True)
 
     def corrupted(self, site: str) -> bool:
         """True when a ``corrupt`` spec fires on this visit to
         ``site``."""
-        spec = self._decide(site, exclude_corrupt=False)
-        if spec is not None and self.tracer is not None:
-            self.tracer.event("chaos.injected", site=site, kind=spec.kind)
-        return spec is not None
+        return self._decide(site, exclude_corrupt=False) is not None
 
     # -- test/observability helpers ------------------------------------
     def arm(self, spec: FaultSpec) -> None:
@@ -169,14 +184,3 @@ class FaultInjector:
                 f"{site} {kind} x{count}"
                 for (site, kind), count in sorted(self.injected.items())
             ]
-
-    # -- copy/pickle ---------------------------------------------------
-    # One injector == one global fault budget: replicas deep-copied from
-    # an engine must keep consulting the same injector.
-    def __deepcopy__(self, memo) -> "FaultInjector":
-        return self
-
-    # Process workers get a fresh injector armed from the same plan
-    # (counters cannot be shared across the IPC boundary).
-    def __reduce__(self):
-        return (FaultInjector, (copy.deepcopy(self.plan),))

@@ -5,16 +5,15 @@ each naming an **injection site** (a dotted string the runtime consults
 at a specific code location), a **fault kind**, and a firing schedule
 (``after`` / ``times`` / ``probability``).  Plans are plain data: JSON in,
 JSON out, no callables — so the same plan can drive an in-process test,
-a ``multiprocessing`` shard worker (the plan pickles; each worker arms
-its own injector from it), and the ``--chaos PLAN.json`` CLI flag.
+a shard worker process (the plan pickles; the worker looks up the specs
+the dispatcher decided to fire), and the ``--chaos PLAN.json`` CLI flag.
 
 Determinism: every spec draws from its own ``random.Random`` seeded from
 ``(plan.seed, spec position)``, and firing decisions depend only on the
 per-site visit count — so a single-threaded replay of the same workload
-injects exactly the same faults every run.  (Across thread workers the
-*interleaving* of visits may vary; use ``probability=1.0`` with
-``times``/``after`` schedules when exact determinism across threads is
-required.)
+injects exactly the same faults every run.  (Shard-worker sites are
+decided in the dispatching process, so their visits, too, are counted
+by the one injector.)
 
 Fault kinds
 -----------

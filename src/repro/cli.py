@@ -137,9 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="trace/update RNG seed (reproducible runs)")
     run.add_argument("--batch-size", type=int, default=1024)
     run.add_argument("--shards", type=int, default=1,
-                     help="worker count (1 = unsharded)")
-    run.add_argument("--shard-mode", choices=("thread", "process", "shm"),
-                     default="thread")
+                     help="worker count (1 = unsharded; more runs shm "
+                          "worker processes)")
     run.add_argument("--max-groups", type=int, default=None)
     _add_lookup_backend_flag(run)
     run.add_argument("--cache", action="store_true",
@@ -195,9 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="TCP port (0 = ephemeral; the bound port is "
                           "printed on startup)")
     srv.add_argument("--shards", type=int, default=1,
-                     help="worker count (1 = unsharded)")
-    srv.add_argument("--shard-mode", choices=("thread", "process", "shm"),
-                     default="thread")
+                     help="worker count (1 = unsharded; more runs shm "
+                          "worker processes)")
     srv.add_argument("--max-groups", type=int, default=None)
     _add_lookup_backend_flag(srv)
     srv.add_argument("--cache", action="store_true",
@@ -343,8 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--seed", type=int, default=1)
     top.add_argument("--batch-size", type=int, default=1024)
     top.add_argument("--shards", type=int, default=1)
-    top.add_argument("--shard-mode", choices=("thread", "process", "shm"),
-                     default="thread")
     top.add_argument("--max-groups", type=int, default=None)
     _add_lookup_backend_flag(top)
     top.add_argument("--cache", action="store_true",
@@ -529,18 +525,30 @@ def _build_observability(args):
     )
 
 
+def _open_service(args, classifier, config, **kwargs):
+    """The verb's :class:`RuntimeService`, or None after printing why
+    ``config`` cannot serve ``classifier`` (e.g. ``--shards N`` on a
+    field wider than 32 bits)."""
+    from .runtime.service import RuntimeService
+
+    try:
+        return RuntimeService(classifier, config, **kwargs)
+    except ValueError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_runtime(args) -> int:
     import random as _random
     import time
 
     from .runtime.batch import iter_batches
-    from .runtime.service import RuntimeConfig, RuntimeService
+    from .runtime.service import RuntimeConfig
 
     classifier, _ = _load(args.path)
     config = RuntimeConfig(
         batch_size=args.batch_size,
         num_shards=args.shards,
-        shard_mode=args.shard_mode,
         deadline_ms=args.deadline_ms,
         engine=EngineConfig(
             max_groups=args.max_groups, enforce_cache=args.cache,
@@ -552,9 +560,12 @@ def _cmd_runtime(args) -> int:
     trace = generate_trace(classifier, args.trace, seed=args.seed)
     recorder = obs.recorder if obs is not None else None
     mismatches = 0
-    with RuntimeService(
-        classifier, config, recorder=recorder, injector=injector
-    ) as service:
+    service = _open_service(
+        args, classifier, config, recorder=recorder, injector=injector
+    )
+    if service is None:
+        return 2
+    with service:
         if args.serve_metrics is not None:
             server = service.serve_metrics(port=args.serve_metrics)
             if not args.json:
@@ -566,8 +577,7 @@ def _cmd_runtime(args) -> int:
                 f"engine: {report.software_rules}/{report.total_rules} rules "
                 f"in software ({report.num_groups} groups), "
                 f"{report.tcam_entries} TCAM entries; "
-                f"batch={config.batch_size} shards={config.num_shards} "
-                f"({config.shard_mode})"
+                f"batch={config.batch_size} shards={config.num_shards}"
             )
             stage_text = " ".join(
                 f"{name}={seconds:.3f}s" for name, seconds in report.build_stages
@@ -693,7 +703,6 @@ def _cmd_serve(args) -> int:
     classifier, _ = _load(args.path)
     runtime_config = RuntimeConfig(
         num_shards=args.shards,
-        shard_mode=args.shard_mode,
         deadline_ms=args.deadline_ms,
         shed_watermark=args.shed_watermark,
         engine=EngineConfig(
@@ -744,12 +753,16 @@ def _cmd_serve(args) -> int:
         print("draining...", flush=True)
         return await server.drain()
 
-    with RuntimeService(
+    service = _open_service(
+        args,
         classifier,
         runtime_config,
         recorder=obs.recorder if obs is not None else None,
         injector=injector,
-    ) as service:
+    )
+    if service is None:
+        return 2
+    with service:
         if args.slo or args.slo_spec is not None:
             from .obs.slo import SLOEngine, default_slos, load_slo_specs
 
@@ -1173,7 +1186,7 @@ def _cmd_top(args) -> int:
     from .obs import Observability
     from .obs.heat import render_top
     from .runtime.batch import iter_batches
-    from .runtime.service import RuntimeConfig, RuntimeService
+    from .runtime.service import RuntimeConfig
 
     if args.watch is not None:
         return _cmd_top_watch(args)
@@ -1185,7 +1198,6 @@ def _cmd_top(args) -> int:
     config = RuntimeConfig(
         batch_size=args.batch_size,
         num_shards=args.shards,
-        shard_mode=args.shard_mode,
         engine=EngineConfig(
             max_groups=args.max_groups, enforce_cache=args.cache,
             lookup_backend=args.lookup_backend,
@@ -1196,7 +1208,10 @@ def _cmd_top(args) -> int:
     )
     trace = generate_trace(classifier, args.trace, seed=args.seed)
     live = args.live or (not args.json and sys.stdout.isatty())
-    with RuntimeService(classifier, config, recorder=obs.recorder) as service:
+    service = _open_service(args, classifier, config, recorder=obs.recorder)
+    if service is None:
+        return 2
+    with service:
         start = time.perf_counter()
         for i, batch in enumerate(iter_batches(trace, config.batch_size)):
             service.match_batch(batch)

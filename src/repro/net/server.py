@@ -580,7 +580,7 @@ class NetServer:
 
         Index-only path: the wire encodes bare rule indices, so this asks
         the service for indices and never materializes MatchResult
-        objects — with ``--shard-mode shm`` the coalesced block goes
+        objects — with ``--shards N`` the coalesced block goes
         straight from the decoder's uint32 view into the shared ring and
         the answers come back as one index array, zero intermediate
         copies."""

@@ -9,11 +9,12 @@ a ``dropped`` counter owns up to it).  Context propagates three ways:
   so nested ``with tracer.span(...)`` blocks parent automatically;
 * **across threads** — worker pools do not inherit context, so callers
   capture :meth:`Tracer.current_context` and pass it as the explicit
-  ``parent`` of the worker-side span (this is what
-  :class:`~repro.runtime.shard.ShardedRuntime` does per chunk);
+  ``parent`` of the worker-side span;
 * **across processes** — a :class:`SpanContext` is two ints, so it
-  pickles into the worker, whose local tracer parents its spans under it
-  and drains them back in the chunk result.
+  crosses into the worker (as two control words of a shm ring slot,
+  which is what :class:`~repro.runtime.shard.ShardedRuntime` does per
+  chunk), whose local tracer parents its spans under it and drains them
+  back with the chunk's telemetry.
 
 Timestamps derive from ``time.perf_counter()`` against a wall-clock epoch
 captured at tracer construction: monotonic within a process (no wall

@@ -45,7 +45,8 @@ from ..core.rule import Rule
 from ..saxpac.config import EngineConfig
 from .batch import iter_batches, linear_match_batch, linear_match_indices
 from .health import HealthMonitor, HealthState
-from .shard import ShardedRuntime
+from .shard import ShardedRuntime, check_shard_mode
+from .shm import check_shm_schema
 from .swap import HotSwapRuntime
 from .telemetry import Telemetry, TelemetrySnapshot, render_text
 
@@ -72,11 +73,15 @@ class RuntimeConfig:
     shed), ``fallback_after``/``recover_after`` shape the health ladder
     and ``probe_every`` sets how often the linear-fallback state retries
     the fast path.
+
+    ``num_shards > 1`` serves through shm worker processes
+    (:class:`~repro.runtime.shard.ShardedRuntime`) and needs every schema
+    field to fit 32 bits; ``shard_mode`` accepts only ``"shm"``.
     """
 
     batch_size: int = 1024
     num_shards: int = 1
-    shard_mode: str = "thread"
+    shard_mode: str = "shm"
     background_rebuild: bool = False
     engine: EngineConfig = field(default_factory=EngineConfig)
     deadline_ms: Optional[float] = None
@@ -91,8 +96,7 @@ class RuntimeConfig:
             raise ValueError("batch_size must be >= 1")
         if self.num_shards < 1:
             raise ValueError("num_shards must be >= 1")
-        if self.shard_mode not in ("thread", "process", "shm"):
-            raise ValueError(f"unknown shard mode {self.shard_mode!r}")
+        check_shard_mode(self.shard_mode)
         if self.deadline_ms is not None and self.deadline_ms <= 0:
             raise ValueError("deadline_ms must be > 0")
         if self.max_retries < 0:
@@ -139,6 +143,9 @@ class RuntimeService:
         injector=None,
     ) -> None:
         self.config = config or RuntimeConfig()
+        if self.config.num_shards > 1:
+            # Fail before anything is built or spawned.
+            check_shm_schema(classifier.schema)
         self.telemetry = recorder if recorder is not None else Telemetry()
         self.injector = injector if injector is not None else NULL_INJECTOR
         self.health = HealthMonitor(
@@ -164,51 +171,23 @@ class RuntimeService:
         if self.injector.enabled and self.telemetry.tracer is not None:
             # Chaos injections become trace events on the active span, so
             # a flight-recorder entry shows *which* fault fired inside it.
-            # The tracer rides only this in-process reference — the
-            # injector's __reduce__/__deepcopy__ paths never carry it to
-            # shard workers.
+            # The tracer rides only this in-process reference: shard
+            # workers get the plan and arm injectors of their own.
             self.injector.tracer = self.telemetry.tracer
         self.shards: Optional[ShardedRuntime] = None
         if self.config.num_shards > 1:
-            if self.config.shard_mode == "shm":
-                # Shared-memory workers read the swap engine per batch
-                # (like thread mode) so hot swaps ship as one columnar
-                # snapshot instead of a pool rebuild.
-                self.shards = ShardedRuntime(
-                    engine_source=lambda: self.swap.engine,
-                    num_shards=self.config.num_shards,
-                    mode="shm",
-                    recorder=self.telemetry,
-                    deadline_ms=self.config.deadline_ms,
-                    max_retries=self.config.max_retries,
-                    on_error="fallback",
-                    injector=self.injector,
-                    health=self.health,
-                )
-            elif self.config.shard_mode == "process":
-                self.shards = ShardedRuntime(
-                    classifier=classifier,
-                    config=self.config.engine,
-                    num_shards=self.config.num_shards,
-                    mode="process",
-                    recorder=self.telemetry,
-                    deadline_ms=self.config.deadline_ms,
-                    max_retries=self.config.max_retries,
-                    on_error="fallback",
-                    injector=self.injector,
-                    health=self.health,
-                )
-            else:
-                self.shards = ShardedRuntime(
-                    engine_source=lambda: self.swap.engine,
-                    num_shards=self.config.num_shards,
-                    recorder=self.telemetry,
-                    deadline_ms=self.config.deadline_ms,
-                    max_retries=self.config.max_retries,
-                    on_error="fallback",
-                    injector=self.injector,
-                    health=self.health,
-                )
+            # shm workers read the swap engine per batch, so hot swaps
+            # ship as one columnar snapshot instead of a pool rebuild.
+            self.shards = ShardedRuntime(
+                engine_source=lambda: self.swap.engine,
+                num_shards=self.config.num_shards,
+                recorder=self.telemetry,
+                deadline_ms=self.config.deadline_ms,
+                max_retries=self.config.max_retries,
+                on_error="fallback",
+                injector=self.injector,
+                health=self.health,
+            )
         self._inflight = 0
         self._inflight_lock = threading.Lock()
         self._fallback_probe_counter = 0

@@ -1,7 +1,8 @@
 """Shared-memory sharding: persistent workers over shared numpy rings.
 
-The legacy ``mode="process"`` shards pay the full IPC tax on every chunk:
-the packet list is pickled into the pool, the engine answers are pickled
+This is the transport under :class:`~repro.runtime.shard.ShardedRuntime`.
+A worker pool that pickles each chunk pays the full IPC tax on every
+batch: the packet list is pickled in, the engine answers are pickled
 back, and each respawn re-pickles the whole classifier.  This module
 removes all of it, following the write-once/read-in-place design that
 NuevoMatch (arXiv 2002.07584) uses for its parallel independent sets and
@@ -54,11 +55,20 @@ current snapshot.  Worker-side exceptions mark the slot ``ERROR`` and
 ship the traceback on the status queue — never a broken pool.  The
 deadline/retry/health ladder stays where it always lived, in
 :class:`~repro.runtime.shard.ShardedRuntime`.
+
+**Fault plans.**  Chaos at the worker sites (``shard.worker`` and
+``engine.lookup``) is decided by the dispatcher, against the caller's
+one injector, so budgets, ``after`` counts and tallies stay fleet-wide.
+The decisions ride two slot words as plan indices, and the worker
+enacts them (:func:`~repro.chaos.injector.inject`) before it runs the
+engine.  The workers hold the plan only to look specs up; a changed
+plan ships like a swap, as a generation-stamped control message.
 """
 
 from __future__ import annotations
 
 import os
+import stat
 import time
 import traceback
 from multiprocessing import get_context
@@ -77,6 +87,7 @@ from ..core.rule import Rule
 __all__ = [
     "ShmRing",
     "ShmWorkerPool",
+    "check_shm_schema",
     "pack_snapshot",
     "unpack_decomposition",
     "unpack_snapshot",
@@ -86,10 +97,13 @@ __all__ = [
 # worker enqueued a telemetry delta on the status queue before
 # publishing SEQ_DONE, so the dispatcher knows to wait for it (the
 # queue's feeder thread can lag the shared-memory store).
-SLOT_WORDS = 8
-SEQ_SUBMIT, SEQ_DONE, COUNT, GEN, STATUS, TRACE_ID, SPAN_ID, DELTA_FLAG = (
-    range(SLOT_WORDS)
-)
+# FAULT_SHARD/FAULT_LOOKUP carry the dispatcher's chaos decisions for
+# the chunk: the plan index of the spec to enact plus one, 0 for none.
+SLOT_WORDS = 10
+(
+    SEQ_SUBMIT, SEQ_DONE, COUNT, GEN, STATUS, TRACE_ID, SPAN_ID,
+    DELTA_FLAG, FAULT_SHARD, FAULT_LOOKUP,
+) = range(SLOT_WORDS)
 
 STATUS_OK = 0
 STATUS_ERROR = 1
@@ -107,6 +121,18 @@ IDLE_WAIT_S = 0.1
 #: How long a waiting dispatcher sleeps on a done bell between its
 #: dead-worker and deadline checks.
 DONE_WAIT_S = 0.01
+
+
+def check_shm_schema(schema: FieldSchema) -> None:
+    """Reject a schema the ring cannot carry, naming the wide fields:
+    headers travel as uint32 slabs, so every field must fit 32 bits."""
+    wide = [spec.name for spec in schema if spec.width > 32]
+    if wide:
+        raise ValueError(
+            f"shm shards carry headers as uint32 slabs; schema fields "
+            f"{wide} are wider than 32 bits (serve this schema with one "
+            f"shard)"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +399,8 @@ class ShmRing:
 # ---------------------------------------------------------------------------
 
 def _build_worker_recorder(obs_spec):
-    """Worker-local telemetry stack (mirrors the legacy process mode)."""
+    """Worker-local telemetry stack; its recordings travel back to the
+    dispatcher as drained deltas."""
     from .telemetry import NULL_RECORDER, Telemetry
 
     if obs_spec is None:
@@ -401,6 +428,24 @@ def _pin_to_cpu(worker_id: int) -> None:
         return
     cpus = sorted(os.sched_getaffinity(0))
     os.sched_setaffinity(0, {cpus[worker_id % len(cpus)]})
+
+
+def _close_inherited_sockets() -> None:
+    """Close every socket a forked worker inherited from its parent.
+
+    A worker never uses a socket, but the copy it holds keeps the
+    parent's connection open: a server that aborts its clients (a
+    killed replica) would leave them waiting on a peer that neither
+    answers nor closes."""
+    if not os.path.isdir("/proc/self/fd"):  # pragma: no cover - non-Linux
+        return
+    for name in os.listdir("/proc/self/fd"):
+        fd = int(name)
+        try:
+            if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                os.close(fd)
+        except OSError:  # the listing's own directory fd, now closed
+            pass
 
 
 def _build_engine(snapshot, recorder):
@@ -434,20 +479,15 @@ def _shm_worker_main(
     """Worker entry point: serve owned slots in place, sleeping on the
     work bell between rounds.
 
-    ``conn`` receives ``("swap", gen, snapshot)`` and ``("stop",)``
-    control messages; ``status_queue`` carries readiness, per-slot error
-    tracebacks and (when observability is on) telemetry deltas back to
-    the dispatcher; ``bells`` is the worker's ``(work, done)`` semaphore
-    pair.
+    ``conn`` receives ``("swap", gen, snapshot)``, ``("plan", gen,
+    plan)`` and ``("stop",)`` control messages; ``status_queue``
+    carries readiness, per-slot error tracebacks and (when observability
+    is on) telemetry deltas back to the dispatcher; ``bells`` is the
+    worker's ``(work, done)`` semaphore pair.  ``plan`` is the fault
+    plan the slots' fault words index into (None without chaos).
     """
-    from ..chaos.injector import NULL_INJECTOR
-
-    injector = NULL_INJECTOR
-    if plan is not None:
-        from ..chaos.injector import FaultInjector
-
-        injector = FaultInjector(plan)
     recorder = _build_worker_recorder(obs_spec)
+    _close_inherited_sockets()
     _pin_to_cpu(worker_id)
     ring = ShmRing(
         num_workers, depth, capacity, k, name=ring_name, create=False
@@ -457,7 +497,7 @@ def _shm_worker_main(
         # die on return and ring.close() can release the buffer cleanly.
         _shm_worker_loop(
             ring, worker_id, conn, status_queue, bells, snapshot,
-            generation, recorder, injector,
+            generation, recorder, plan,
         )
     finally:
         ring.close()
@@ -472,9 +512,9 @@ def _shm_worker_loop(
     snapshot,
     generation: int,
     recorder,
-    injector,
+    plan,
 ) -> None:
-    from ..chaos.injector import InjectedCrash
+    from ..chaos.injector import InjectedCrash, inject
     from ..obs.tracing import SpanContext
 
     engines: Dict[int, object] = {}
@@ -488,14 +528,20 @@ def _shm_worker_loop(
     ring.worker_state[worker_id] = 1
     status_queue.put(("ready", worker_id, generation))
 
-    def apply_swap(msg) -> int:
-        new_gen, payload = msg[1], msg[2]
-        engines[new_gen] = _build_engine(payload, recorder)
+    def apply(msg) -> None:
+        """Apply a swap or plan message; each opens a generation."""
+        nonlocal plan
+        kind, new_gen, payload = msg
+        if kind == "swap":
+            engines[new_gen] = _build_engine(payload, recorder)
+        else:
+            # A changed fault plan: same engine, new spec table.
+            plan = payload
+            engines[new_gen] = engines[max(engines)]
         # Keep the previous generation so in-flight old-snapshot
         # slots are still answered by the engine they were aimed at.
         for stale in sorted(engines)[:-2]:
             del engines[stale]
-        return new_gen
 
     def control():
         """The next control message; a closed pipe means stop."""
@@ -523,16 +569,22 @@ def _shm_worker_loop(
                 msg = control()
                 if msg[0] == "stop":
                     return
-                if msg[0] == "swap":
-                    generation = apply_swap(msg)
+                apply(msg)
             engine = engines.get(slot_gen) or engines[max(engines)]
             count = int(row[COUNT])
             view = ring.packets[slot, :count]
             try:
-                if injector.enabled:
-                    injector.fire(
-                        "shard.worker", shard=worker_id, pid=pid
+                fault = int(row[FAULT_SHARD])
+                if fault:
+                    inject(
+                        plan.specs[fault - 1], "shard.worker",
+                        shard=worker_id, pid=pid,
                     )
+                fault = int(row[FAULT_LOOKUP])
+                if fault:
+                    # Where the engine's own site fires in-process:
+                    # before it touches any state.
+                    inject(plan.specs[fault - 1], "engine.lookup", batch=count)
                 if recorder.enabled:
                     trace_id = int(row[TRACE_ID])
                     parent = (
@@ -558,7 +610,14 @@ def _shm_worker_loop(
                 row[STATUS] = STATUS_OK
             except InjectedCrash:
                 # A crash spec kills the worker like a real segfault
-                # would; the dispatcher reclaims this slot.
+                # would; the dispatcher reclaims this slot.  The
+                # traceback is flushed first so the caller's error
+                # names the cause.
+                status_queue.put(
+                    ("error", worker_id, slot, seq, traceback.format_exc())
+                )
+                status_queue.close()
+                status_queue.join_thread()
                 os._exit(CRASH_EXIT_CODE)
             except Exception:
                 row[STATUS] = STATUS_ERROR
@@ -583,8 +642,7 @@ def _shm_worker_loop(
             msg = control()
             if msg[0] == "stop":
                 return
-            if msg[0] == "swap":
-                generation = apply_swap(msg)
+            apply(msg)
             continue
         work_bell.acquire(timeout=IDLE_WAIT_S)
 
@@ -621,12 +679,7 @@ class ShmWorkerPool:
             raise ValueError("depth must be >= 1")
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        wide = [spec.name for spec in classifier.schema if spec.width > 32]
-        if wide:
-            raise ValueError(
-                f"shm mode carries headers as uint32 slabs; schema fields "
-                f"{wide} are wider than 32 bits"
-            )
+        check_shm_schema(classifier.schema)
         import threading
 
         self.num_workers = num_workers
@@ -636,7 +689,6 @@ class ShmWorkerPool:
         self.slots_reclaimed = 0
         self._deltas_flagged = 0
         self._deltas_received = 0
-        self._crash_grants: Dict[int, int] = {}
         self._ctx = get_context()
         self._lock = threading.Lock()
         self._snapshot = pack_snapshot(classifier, config, engine)
@@ -692,7 +744,7 @@ class ShmWorkerPool:
                 self._snapshot,
                 self.generation,
                 self._obs_spec,
-                self._armed_plan(),
+                self._plan,
             ),
             daemon=True,
         )
@@ -786,16 +838,30 @@ class ShmWorkerPool:
         old-generation slots still get the old engine."""
         snapshot = pack_snapshot(classifier, config, engine)
         with self._lock:
-            self.generation += 1
             self._snapshot = snapshot
-            for worker, conn in enumerate(self._conns):
-                if conn is not None:
-                    try:
-                        conn.send(("swap", self.generation, snapshot))
-                    except (BrokenPipeError, OSError):
-                        pass  # dead worker; respawn ships the snapshot
-                    self._bells[worker][0].release()
-            return self.generation
+            return self._ship("swap", snapshot)
+
+    def ship_plan(self, plan) -> int:
+        """Ship a changed fault plan (specs armed on it, or a new one)
+        to every worker; returns the new generation.  As with a swap,
+        a worker takes the plan before it serves any chunk whose fault
+        words index into it."""
+        with self._lock:
+            self._plan = plan
+            return self._ship("plan", plan)
+
+    def _ship(self, kind: str, payload) -> int:
+        """Send a generation-opening control message to every worker
+        (caller holds the lock)."""
+        self.generation += 1
+        for worker, conn in enumerate(self._conns):
+            if conn is not None:
+                try:
+                    conn.send((kind, self.generation, payload))
+                except (BrokenPipeError, OSError):
+                    pass  # dead worker; its respawn gets the current state
+                self._bells[worker][0].release()
+        return self.generation
 
     # -- data path -----------------------------------------------------
     def submit(
@@ -803,9 +869,13 @@ class ShmWorkerPool:
         worker: int,
         chunk,
         trace_ctx=None,
+        faults: Tuple[int, int] = (0, 0),
         claim_timeout_s: float = 60.0,
     ) -> Tuple[int, int, int, int]:
         """Write ``chunk`` into a free slot of ``worker`` and publish it.
+
+        ``faults`` are the chaos decisions for the chunk, as the
+        ``FAULT_SHARD``/``FAULT_LOOKUP`` words (plan index + 1, 0 = none).
 
         Returns the wait handle ``(worker, slot, seq, count)``.  Blocks
         (briefly) when all of the worker's slots are in flight; a worker
@@ -852,6 +922,7 @@ class ShmWorkerPool:
                             row[TRACE_ID] = 0
                             row[SPAN_ID] = 0
                         row[DELTA_FLAG] = 0
+                        row[FAULT_SHARD], row[FAULT_LOOKUP] = faults
                         self._unread[slot] = (seq, count)
                         # Publish strictly after the payload stores.
                         row[SEQ_SUBMIT] = seq
@@ -892,6 +963,10 @@ class ShmWorkerPool:
             if done_bell.acquire(timeout=DONE_WAIT_S):
                 rung = True
                 continue
+            # Keep the status pipe flowing: a worker flushing its queue
+            # (a delta, or a crash traceback before it exits) must not
+            # block on a full pipe while we wait on it.
+            self._drain_status()
             process = self._workers[worker]
             if process is None or not process.is_alive():
                 self.respawn_worker(worker)
@@ -934,6 +1009,15 @@ class ShmWorkerPool:
         if status == STATUS_OK and results is not None:
             return "ok", results
         self._drain_status()
+        if status == STATUS_ERROR:
+            # The worker queued the traceback before publishing the
+            # error; the queue feeder thread may still be flushing it.
+            deadline = time.monotonic() + 1.0
+            while (
+                (slot, seq) not in self._errors
+                and time.monotonic() < deadline
+            ):
+                self._drain_status(wait_s=DONE_WAIT_S)
         detail = self._errors.pop(
             (slot, seq),
             f"shm worker {worker} lost slot {slot} (seq {seq}, "
@@ -955,42 +1039,6 @@ class ShmWorkerPool:
                 reclaimed += 1
         self.slots_reclaimed += reclaimed
         return reclaimed
-
-    def _armed_plan(self):
-        """The fault plan for one fresh worker spawn.
-
-        Each worker process arms its own injector, so handing every
-        spawn the full plan would reset the ``shard.worker`` crash
-        budget on each respawn and crash-loop forever.  A crash is
-        terminal per process (the worker ``os._exit``\\ s on its first
-        fire), so thread mode's shared-budget semantics — ``times: 2``
-        means two crashes *total* — are preserved by granting each
-        spawn at most a single-shot share and never granting more
-        shots than ``times`` across all spawns."""
-        plan = self._plan
-        if plan is None:
-            return None
-        data = plan.to_dict()
-        changed = False
-        for i, spec in enumerate(data.get("faults", [])):
-            if (
-                spec.get("site") != "shard.worker"
-                or spec.get("kind") != "crash"
-                or spec.get("times") is None
-            ):
-                continue
-            changed = True
-            granted = self._crash_grants.get(i, 0)
-            if granted < spec["times"]:
-                self._crash_grants[i] = granted + 1
-                spec["times"] = 1
-            else:
-                spec["times"] = 0
-        if not changed:
-            return plan
-        from ..chaos.plan import FaultPlan
-
-        return FaultPlan.from_dict(data)
 
     def respawn_worker(self, worker: int) -> int:
         """Replace one (dead or hung) worker; returns reclaimed slots."""

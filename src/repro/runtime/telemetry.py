@@ -225,10 +225,9 @@ class TelemetryDelta:
     """Picklable bundle of recorded-and-drained telemetry.
 
     Produced by :meth:`Telemetry.drain` and folded back with
-    :meth:`Telemetry.absorb`; this is how sharded workers (thread replicas
-    and ``multiprocessing`` workers alike) ship their local recordings
-    back to the service recorder without sharing locks across shard or
-    process boundaries.  ``heat`` and ``spans`` are opaque payloads from
+    :meth:`Telemetry.absorb`; this is how shm shard workers ship their
+    local recordings back to the service recorder without sharing locks
+    across process boundaries.  ``heat`` and ``spans`` are opaque payloads from
     the attached heat profiler / tracer (None when not attached).
     """
 
@@ -309,24 +308,19 @@ class Telemetry:
             return _NULL_SPAN
         return tracer.span(name, parent=parent, **tags)
 
-    def drain(self, sinks: bool = True) -> TelemetryDelta:
+    def drain(self) -> TelemetryDelta:
         """Atomically remove and return everything recorded so far.
 
         The returned :class:`TelemetryDelta` is picklable (locks are not
         carried), including drained payloads from the attached heat
-        profiler and tracer when present, so process-mode shard workers
-        can ship it across the IPC boundary.  Pass ``sinks=False`` when
-        this recorder *shares* its tracer/heat with the fold-back target
-        (thread-mode shard replicas): those recordings are already in
-        place and must not be round-tripped.
+        profiler and tracer when present, so shm shard workers can ship
+        it across the process boundary.
         """
         with self._lock:
             counters, self._counters = self._counters, {}
             histograms, self._latencies = self._latencies, {}
-        heat = spans = None
-        if sinks:
-            heat = self.heat.drain() if self.heat is not None else None
-            spans = self.tracer.drain() if self.tracer is not None else None
+        heat = self.heat.drain() if self.heat is not None else None
+        spans = self.tracer.drain() if self.tracer is not None else None
         return TelemetryDelta(counters, histograms, heat, spans)
 
     def absorb(self, delta: TelemetryDelta) -> None:
@@ -355,9 +349,9 @@ class Telemetry:
             self._latencies.clear()
 
     # -- copy/pickle support -------------------------------------------
-    # Engines holding a recorder get deep-copied into shard replicas and
-    # pickled into process workers; the lock must not travel, and the
-    # attached sinks (tracer/heat) are process-local by design.
+    # A copied or pickled recorder keeps its data; the lock must not
+    # travel, and the attached sinks (tracer/heat) are process-local by
+    # design.
     def __getstate__(self) -> Dict[str, object]:
         with self._lock:
             return {

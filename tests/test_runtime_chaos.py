@@ -38,7 +38,6 @@ from repro.runtime.service import (
 )
 from repro.runtime.shard import ShardedRuntime, ShardWorkerError
 from repro.runtime.telemetry import Telemetry
-from repro.saxpac.engine import SaxPacEngine
 from repro.workloads.traces import generate_trace
 
 
@@ -59,30 +58,34 @@ def _want(classifier, headers):
 
 
 class TestPoolTeardown:
-    """Regression: close() used to terminate() the process pool without
+    """Regression: close() used to terminate() the worker pool without
     joining, leaking children; worker errors surfaced as a bare pool
     exception with no traceback."""
 
     def test_close_joins_process_workers(self, setup):
+        from multiprocessing.shared_memory import SharedMemory
+
         classifier, trace = setup
-        sharded = ShardedRuntime(
-            classifier=classifier, num_shards=2, mode="process"
-        )
+        sharded = ShardedRuntime(classifier=classifier, num_shards=2)
         sharded.match_indices(trace[:60])
-        workers = [
-            p for p in multiprocessing.active_children()
-        ]
-        assert workers, "expected live pool workers before close"
+        segment = sharded._shm_pool.ring.name
+        assert multiprocessing.active_children(), (
+            "expected live shard workers before close"
+        )
         sharded.close()
         assert not multiprocessing.active_children(), (
-            "close() must join() pool workers, not orphan them"
+            "close() must join() shard workers, not orphan them"
         )
+        with pytest.raises(FileNotFoundError):
+            SharedMemory(name=segment)  # the ring segment is unlinked
 
     def test_process_worker_traceback_surfaces(self, setup):
+        # A crash kills the worker process outright; its traceback
+        # still reaches the caller.
         classifier, trace = setup
         injector = _injector(FaultSpec(site="shard.worker", kind="crash"))
         with ShardedRuntime(
-            classifier=classifier, num_shards=2, mode="process",
+            classifier=classifier, num_shards=2,
             injector=injector, max_retries=0, on_error="raise",
         ) as sharded:
             with pytest.raises(ShardWorkerError) as excinfo:
@@ -93,11 +96,11 @@ class TestPoolTeardown:
         assert excinfo.value.worker_traceback
 
     def test_thread_worker_traceback_surfaces(self, setup):
+        # An exception inside a worker that stays alive.
         classifier, trace = setup
-        engine = SaxPacEngine(classifier)
         injector = _injector(FaultSpec(site="shard.worker", kind="error"))
         with ShardedRuntime(
-            engine=engine, num_shards=2, injector=injector,
+            classifier=classifier, num_shards=2, injector=injector,
             max_retries=0, on_error="raise",
         ) as sharded:
             with pytest.raises(ShardWorkerError) as excinfo:
@@ -107,41 +110,43 @@ class TestPoolTeardown:
 
 class TestShardRetries:
     def test_transient_errors_are_retried(self, setup):
+        # times=2 is a fleet-wide budget: the pool splits it across the
+        # two worker processes.
         classifier, trace = setup
-        engine = SaxPacEngine(classifier)
         tel = Telemetry()
         injector = _injector(
             FaultSpec(site="shard.worker", kind="error", times=2)
         )
         with ShardedRuntime(
-            engine=engine, num_shards=2, injector=injector,
+            classifier=classifier, num_shards=2, injector=injector,
             max_retries=2, backoff_s=0.001, recorder=tel,
         ) as sharded:
             got = sharded.match_indices(trace)
-        assert got == _want(classifier, trace)
+        assert list(got) == _want(classifier, trace)
         assert tel.counter("runtime.retries") >= 1
         assert tel.counter("runtime.worker_errors") == 2
+        # The workers' injections are tallied back into the injector.
+        assert injector.injected == {("shard.worker", "error"): 2}
 
     def test_persistent_errors_fall_back_linearly(self, setup):
         classifier, trace = setup
-        engine = SaxPacEngine(classifier)
         tel = Telemetry()
         health = HealthMonitor(tel)
         injector = _injector(FaultSpec(site="shard.worker", kind="crash"))
         with ShardedRuntime(
-            engine=engine, num_shards=2, injector=injector,
+            classifier=classifier, num_shards=2, injector=injector,
             max_retries=1, backoff_s=0.001, on_error="fallback",
             recorder=tel, health=health,
         ) as sharded:
             got = sharded.match_indices(trace)
-        assert got == _want(classifier, trace)  # zero wrong answers
+        assert list(got) == _want(classifier, trace)  # zero wrong answers
         assert tel.counter("runtime.chunk_fallbacks") == 2
         assert sharded.last_worker_error is not None
+        assert "InjectedCrash" in str(sharded.last_worker_error)
         assert health.state is not HealthState.HEALTHY
 
     def test_hung_worker_hits_deadline_and_respawns(self, setup):
         classifier, trace = setup
-        engine = SaxPacEngine(classifier)
         tel = Telemetry()
         injector = _injector(
             FaultSpec(
@@ -149,18 +154,100 @@ class TestShardRetries:
             )
         )
         with ShardedRuntime(
-            engine=engine, num_shards=2, injector=injector,
+            classifier=classifier, num_shards=2, injector=injector,
             deadline_ms=60, recorder=tel,
         ) as sharded:
             got = sharded.match_indices(trace)
-            assert got == _want(classifier, trace)
+            assert list(got) == _want(classifier, trace)
             assert tel.counter("runtime.deadline_timeouts") >= 1
             assert tel.counter("runtime.worker_respawns") >= 1
             assert tel.counter("runtime.chunk_fallbacks") >= 1
             # The respawned pool serves normally afterwards.
-            assert sharded.match_indices(trace[:40]) == _want(
+            assert list(sharded.match_indices(trace[:40])) == _want(
                 classifier, trace[:40]
             )
+
+
+class TestWorkerFaultPlans:
+    """The plan reaches the worker processes: their engines fire
+    ``engine.lookup``, specs armed mid-run and a replaced plan reach
+    running workers, and what fired is tallied in the caller's
+    injector."""
+
+    def _service(self, classifier, injector, tel):
+        # No retries: the failing chunk's traceback is kept as the
+        # shards' last_worker_error and the chunk is served linearly.
+        return RuntimeService(
+            classifier,
+            RuntimeConfig(num_shards=2, max_retries=0),
+            recorder=tel,
+            injector=injector,
+        )
+
+    def test_armed_worker_error_reaches_running_workers(self, setup):
+        classifier, trace = setup
+        tel = Telemetry()
+        injector = _injector()
+        with self._service(classifier, injector, tel) as service:
+            service.match_batch(trace[:64])
+            assert tel.counter("runtime.worker_errors") == 0
+            injector.arm(
+                FaultSpec(
+                    site="shard.worker", kind="error", times=1,
+                    message="armed mid-run",
+                )
+            )
+            results = service.match_batch(trace[:64])
+            assert [r.index for r in results] == _want(classifier, trace[:64])
+            assert tel.counter("runtime.worker_errors") == 1
+            error = str(service.shards.last_worker_error)
+        assert "InjectedFault: armed mid-run [shard.worker" in error
+        assert injector.injected == {("shard.worker", "error"): 1}
+
+    def test_engine_lookup_faults_fire_in_the_workers(self, setup):
+        classifier, trace = setup
+        tel = Telemetry()
+        injector = _injector()
+        with self._service(classifier, injector, tel) as service:
+            injector.arm(
+                FaultSpec(site="engine.lookup", kind="error", times=1)
+            )
+            results = service.match_batch(trace[:64])
+            assert [r.index for r in results] == _want(classifier, trace[:64])
+            assert tel.counter("runtime.worker_errors") == 1
+            error = str(service.shards.last_worker_error)
+        assert "InjectedFault: injected error [engine.lookup" in error
+        assert injector.injected == {("engine.lookup", "error"): 1}
+
+    def test_slow_lookups_are_tallied_without_a_recorder(self, setup):
+        # No recorder: the tallies ride the status queue on their own.
+        classifier, trace = setup
+        injector = _injector(
+            FaultSpec(site="engine.lookup", kind="slow", times=2, delay_s=0.01)
+        )
+        with ShardedRuntime(
+            classifier=classifier, num_shards=2, injector=injector
+        ) as sharded:
+            for _ in range(3):
+                got = sharded.match_indices(trace[:64])
+                assert list(got) == _want(classifier, trace[:64])
+        assert injector.injected == {("engine.lookup", "slow"): 2}
+
+    def test_replaced_plan_disarms_the_workers(self, setup):
+        classifier, trace = setup
+        tel = Telemetry()
+        injector = _injector(FaultSpec(site="shard.worker", kind="error"))
+        with ShardedRuntime(
+            classifier=classifier, num_shards=2, injector=injector,
+            max_retries=0, on_error="fallback", recorder=tel,
+        ) as sharded:
+            sharded.match_indices(trace[:64])
+            errors = tel.counter("runtime.worker_errors")
+            assert errors == 2
+            injector.plan = FaultPlan((), injector.plan.seed)
+            got = sharded.match_indices(trace[:64])
+            assert list(got) == _want(classifier, trace[:64])
+            assert tel.counter("runtime.worker_errors") == errors
 
 
 class TestSwapQuarantine:

@@ -1,10 +1,11 @@
 """Property tests: every runtime data path is the same function.
 
-Single-packet ``match``, vectorized ``match_batch``, the sharded pool and
-the linear fallback must return identical :class:`MatchResult`s for any
-classifier and any traffic — including while rules are hot-swapped
-mid-stream (each half of the trace must agree with the linear reference
-for the rule set that was live when it was classified).
+Single-packet ``match``, vectorized ``match_batch``, the shm shard
+workers and the linear fallback must return identical
+:class:`MatchResult`s for any classifier and any traffic — including
+while rules are hot-swapped mid-stream (each half of the trace must
+agree with the linear reference for the rule set that was live when it
+was classified).
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -43,7 +44,9 @@ class TestDataPathEquivalence:
         single = [engine.match(h) for h in headers]
         batched = engine.match_batch(headers)
         linear = linear_match_batch(classifier, headers)
-        with ShardedRuntime(engine=engine, num_shards=3) as sharded:
+        with ShardedRuntime(
+            classifier=classifier, config=config, num_shards=3
+        ) as sharded:
             shard_results = sharded.match_batch(headers)
 
         for got in (single, batched, linear, shard_results):

@@ -32,6 +32,8 @@ class TestRuntimeConfig:
             {"batch_size": 0},
             {"num_shards": 0},
             {"shard_mode": "fiber"},
+            {"shard_mode": "thread"},
+            {"shard_mode": "process"},
         ],
     )
     def test_validation(self, kwargs):
@@ -82,6 +84,15 @@ class TestRuntimeService:
             snapshot = service.swap.snapshot_classifier()
         assert got == [snapshot.match(h).index for h in trace]
 
+    def test_sharding_rejects_fields_wider_than_32_bits(self):
+        from repro.workloads.forwarding import generate_forwarding_table
+
+        classifier = generate_forwarding_table(200, seed=3, version=6)
+        with pytest.raises(ValueError, match=r"dst_ip6.*32 bits"):
+            RuntimeService(classifier, RuntimeConfig(num_shards=2))
+        with RuntimeService(classifier) as service:  # unsharded serves
+            assert service.shards is None
+
     def test_report_text(self, setup):
         classifier, trace = setup
         with RuntimeService(classifier) as service:
@@ -92,6 +103,17 @@ class TestRuntimeService:
 
 
 class TestRuntimeCli:
+    def test_shards_on_wide_schema_exit_cleanly(self, tmp_path, capsys):
+        path = str(tmp_path / "v6.json")
+        assert main(["generate", "--forwarding", "6", "--rules", "200",
+                     "--seed", "3", "--out", path]) == 0
+        capsys.readouterr()
+        for verb in ("runtime", "serve"):
+            assert main([verb, path, "--shards", "2"]) != 0
+            err = capsys.readouterr().err
+            assert "dst_ip6" in err and "32 bits" in err
+            assert "Traceback" not in err
+
     def test_runtime_command(self, tmp_path, capsys):
         path = str(tmp_path / "acl.txt")
         assert main(["generate", "--style", "acl", "--rules", "80",

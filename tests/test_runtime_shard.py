@@ -1,4 +1,9 @@
-"""Tests for repro.runtime.shard: chunking, merge order, both modes."""
+"""Tests for repro.runtime.shard: chunking, merge order, the guard
+surface and telemetry fold-back over shm worker processes.
+
+Every class runs on the one shard transport (shm workers); the class
+names are kept so test ids stay stable.
+"""
 
 import random
 
@@ -11,13 +16,21 @@ from repro.saxpac.engine import SaxPacEngine
 from repro.workloads.traces import generate_trace
 
 
-@pytest.fixture
+@pytest.fixture(scope="module")
 def setup():
     rng = random.Random(21)
     classifier = random_classifier(rng, num_rules=40)
     engine = SaxPacEngine(classifier)
     trace = generate_trace(classifier, 400, seed=5)
     return classifier, engine, trace
+
+
+@pytest.fixture(scope="module")
+def shared(setup):
+    """One three-worker pool for the tests that only read from it."""
+    classifier, _, _ = setup
+    with ShardedRuntime(classifier=classifier, num_shards=3) as sharded:
+        yield sharded
 
 
 class TestConstruction:
@@ -29,74 +42,79 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ShardedRuntime()
         with pytest.raises(ValueError):
-            ShardedRuntime(engine=engine, classifier=classifier)
+            ShardedRuntime(
+                classifier=classifier, engine_source=lambda: engine
+            )
 
     def test_rejects_unknown_mode(self, setup):
-        _, engine, _ = setup
-        with pytest.raises(ValueError):
-            ShardedRuntime(engine=engine, mode="fiber")
-
-    def test_process_mode_needs_classifier(self, setup):
-        _, engine, _ = setup
-        with pytest.raises(ValueError):
-            ShardedRuntime(engine=engine, mode="process")
+        classifier, _, _ = setup
+        for mode in ("fiber", "thread", "process"):
+            with pytest.raises(ValueError, match="removed"):
+                ShardedRuntime(classifier=classifier, mode=mode)
 
     def test_rejects_nonpositive_shards(self, setup):
-        _, engine, _ = setup
+        classifier, _, _ = setup
         with pytest.raises(ValueError):
-            ShardedRuntime(engine=engine, num_shards=0)
+            ShardedRuntime(classifier=classifier, num_shards=0)
 
 
 class TestThreadMode:
-    def test_matches_unsharded(self, setup):
-        classifier, engine, trace = setup
-        want = [r.index for r in engine.match_batch(trace)]
-        with ShardedRuntime(engine=engine, num_shards=3) as sharded:
-            assert sharded.match_indices(trace) == want
+    """Serving through the workers: same answers as the unsharded
+    engine, in input order."""
 
-    def test_match_batch_materializes_results(self, setup):
-        classifier, engine, trace = setup
-        with ShardedRuntime(engine=engine, num_shards=3) as sharded:
-            results = sharded.match_batch(trace[:50])
+    def test_matches_unsharded(self, setup, shared):
+        _, engine, trace = setup
+        want = [r.index for r in engine.match_batch(trace)]
+        assert list(shared.match_indices(trace)) == want
+
+    def test_match_batch_materializes_results(self, setup, shared):
+        classifier, _, trace = setup
+        results = shared.match_batch(trace[:50])
         for header, result in zip(trace[:50], results):
             want = classifier.match(header)
             assert result.index == want.index
             assert result.rule is want.rule
 
-    def test_batch_smaller_than_shards(self, setup):
-        classifier, engine, trace = setup
-        with ShardedRuntime(engine=engine, num_shards=8) as sharded:
-            got = sharded.match_indices(trace[:3])
-        assert got == [classifier.match(h).index for h in trace[:3]]
+    def test_batch_smaller_than_shards(self, setup, shared):
+        classifier, _, trace = setup
+        got = shared.match_indices(trace[:2])
+        assert list(got) == [classifier.match(h).index for h in trace[:2]]
 
-    def test_empty_batch(self, setup):
-        _, engine, _ = setup
-        with ShardedRuntime(engine=engine, num_shards=2) as sharded:
-            assert sharded.match_indices([]) == []
+    def test_empty_batch(self, shared):
+        assert len(shared.match_indices([])) == 0
 
-    def test_from_classifier(self, setup):
-        classifier, engine, trace = setup
-        with ShardedRuntime(classifier=classifier, num_shards=2) as sharded:
-            got = sharded.match_indices(trace[:100])
-        assert got == [r.index for r in engine.match_batch(trace[:100])]
+    def test_from_classifier(self, setup, shared):
+        _, engine, trace = setup
+        got = shared.match_indices(trace[:100])
+        assert list(got) == [
+            r.index for r in engine.match_batch(trace[:100])
+        ]
 
     def test_engine_source_sees_swaps(self, setup):
         classifier, engine, trace = setup
+        rng = random.Random(22)
+        replacement = random_classifier(rng, num_rules=40)
         engines = {"current": engine}
         with ShardedRuntime(
             engine_source=lambda: engines["current"], num_shards=2
         ) as sharded:
             before = sharded.match_indices(trace[:100])
-            # Swap in a fresh replica mid-stream; shards must observe it.
+            # A fresh engine over the same rules ships nothing; one over
+            # new rules must be what the workers answer from next.
             engines["current"] = SaxPacEngine(classifier)
+            same = sharded.match_indices(trace[:100])
+            engines["current"] = SaxPacEngine(replacement)
             after = sharded.match_indices(trace[:100])
-        assert before == after  # same rules, new engine object
+        assert list(before) == list(same)
+        assert list(after) == [
+            r.index for r in replacement.match_batch(trace[:100])
+        ]
 
     def test_telemetry(self, setup):
-        _, engine, trace = setup
+        classifier, _, trace = setup
         tel = Telemetry()
         with ShardedRuntime(
-            engine=engine, num_shards=4, recorder=tel
+            classifier=classifier, num_shards=4, recorder=tel
         ) as sharded:
             sharded.match_indices(trace)
         snap = tel.snapshot()
@@ -105,20 +123,20 @@ class TestThreadMode:
         assert snap.counter("shard.chunks") == 4
 
     def test_close_idempotent(self, setup):
-        _, engine, _ = setup
-        sharded = ShardedRuntime(engine=engine, num_shards=2)
+        classifier, _, _ = setup
+        sharded = ShardedRuntime(classifier=classifier, num_shards=2)
         sharded.close()
         sharded.close()
 
 
 class TestThreadModeFoldBack:
+    """Worker recordings fold back into the caller's recorder."""
+
     def test_replica_engine_telemetry_folds_back(self, setup):
-        # The bug this guards: deep-copied replicas used to record into
-        # private recorder copies whose data vanished.
-        classifier, engine, trace = setup
+        classifier, _, trace = setup
         tel = Telemetry()
         with ShardedRuntime(
-            engine=engine, num_shards=3, recorder=tel
+            classifier=classifier, num_shards=3, recorder=tel
         ) as sharded:
             sharded.match_indices(trace)
             sharded.collect()
@@ -127,33 +145,23 @@ class TestThreadModeFoldBack:
         assert "engine.match_batch" in snap.latencies
 
     def test_collect_is_idempotent(self, setup):
-        _, engine, trace = setup
+        classifier, _, trace = setup
         tel = Telemetry()
         with ShardedRuntime(
-            engine=engine, num_shards=2, recorder=tel
+            classifier=classifier, num_shards=2, recorder=tel
         ) as sharded:
             sharded.match_indices(trace)
             sharded.collect()
             sharded.collect()
         assert tel.counter("engine.lookups") == len(trace)
 
-    def test_close_restores_original_recorder(self, setup):
-        _, engine, _ = setup
-        original = engine.recorder
-        sharded = ShardedRuntime(
-            engine=engine, num_shards=2, recorder=Telemetry()
-        )
-        assert engine.recorder is not original  # rebound while sharded
-        sharded.close()
-        assert engine.recorder is original
-
     def test_replica_heat_lands_in_shared_profiler(self, setup):
         from repro.obs import Observability
 
-        _, engine, trace = setup
+        classifier, _, trace = setup
         obs = Observability.create(tracing=False, heat=True)
         with ShardedRuntime(
-            engine=engine, num_shards=3, recorder=obs.recorder
+            classifier=classifier, num_shards=3, recorder=obs.recorder
         ) as sharded:
             sharded.match_indices(trace)
         assert obs.heat.seen_packets == len(trace)
@@ -161,10 +169,10 @@ class TestThreadModeFoldBack:
     def test_chunk_spans_nest_under_caller(self, setup):
         from repro.obs import Observability
 
-        _, engine, trace = setup
+        classifier, _, trace = setup
         obs = Observability.create(tracing=True, heat=False)
         with ShardedRuntime(
-            engine=engine, num_shards=2, recorder=obs.recorder
+            classifier=classifier, num_shards=2, recorder=obs.recorder
         ) as sharded:
             with obs.tracer.span("batch") as batch:
                 sharded.match_indices(trace[:50])
@@ -176,21 +184,18 @@ class TestThreadModeFoldBack:
 
 
 class TestProcessMode:
-    def test_matches_unsharded(self, setup):
-        classifier, engine, trace = setup
+    """The workers are separate processes built from a snapshot."""
+
+    def test_matches_unsharded(self, setup, shared):
+        _, engine, trace = setup
         want = [r.index for r in engine.match_batch(trace[:120])]
-        with ShardedRuntime(
-            classifier=classifier, num_shards=2, mode="process"
-        ) as sharded:
-            got = sharded.match_indices(trace[:120])
-        assert got == want
+        assert list(shared.match_indices(trace[:120])) == want
 
     def test_worker_telemetry_ships_back(self, setup):
         classifier, _, trace = setup
         tel = Telemetry()
         with ShardedRuntime(
-            classifier=classifier, num_shards=2, mode="process",
-            recorder=tel,
+            classifier=classifier, num_shards=2, recorder=tel,
         ) as sharded:
             sharded.match_indices(trace[:120])
             snap = tel.snapshot()
@@ -203,8 +208,7 @@ class TestProcessMode:
         classifier, _, trace = setup
         obs = Observability.create(tracing=True, heat=True)
         with ShardedRuntime(
-            classifier=classifier, num_shards=2, mode="process",
-            recorder=obs.recorder,
+            classifier=classifier, num_shards=2, recorder=obs.recorder,
         ) as sharded:
             with obs.tracer.span("batch") as batch:
                 sharded.match_indices(trace[:100])

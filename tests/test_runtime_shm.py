@@ -108,7 +108,7 @@ class TestShmMode:
         with ShardedRuntime(
             classifier=classifier, num_shards=2, mode="shm"
         ) as sharded:
-            assert sharded.match_indices([]) == []
+            assert len(sharded.match_indices([])) == 0
 
     def test_ring_wraparound(self, setup):
         # Slots are reused once SEQ_DONE catches SEQ_SUBMIT; a tiny
@@ -171,10 +171,28 @@ class TestShmMode:
             ShardedRuntime(classifier=classifier, num_shards=1, mode="shm")
 
     def test_rejects_engine_with_shm_mode(self, setup):
+        # Engines do not cross process boundaries: the constructor takes
+        # a classifier or an engine_source, never a built engine.
         classifier, _, _, _ = setup
         engine = SaxPacEngine(classifier)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             ShardedRuntime(engine=engine, num_shards=2, mode="shm")
+
+    def test_workers_hold_no_parent_sockets(self, setup):
+        # A forked worker inherits the parent's sockets; one it kept
+        # would hold a connection open after the parent closed it.
+        import socket
+
+        classifier, _, _, _ = setup
+        ours, peer = socket.socketpair()
+        try:
+            with ShardedRuntime(classifier=classifier, num_shards=1):
+                ours.close()
+                peer.settimeout(5.0)
+                assert peer.recv(1) == b""  # EOF, not a timeout
+        finally:
+            ours.close()
+            peer.close()
 
     def test_close_idempotent(self, setup):
         classifier, _, _, _ = setup
