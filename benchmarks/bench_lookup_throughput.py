@@ -6,50 +6,15 @@ group probes, each O(log N)) should scale far better than the naive linear
 scan, and the hybrid engine should stay close to the pure software path
 because the TCAM part D holds only a few percent of the rules (simulated
 TCAM rows are scanned sequentially, so a small D matters).
-
-Besides the pytest-benchmark micro-benchmarks, this module doubles as a
-standalone **per-backend ablation** (the same pattern as
-``bench_build.py``), so CI can smoke and gate it:
-
-    python benchmarks/bench_lookup_throughput.py --quick
-
-For every (style, rule-count) cell it builds the engine once per lookup
-backend (``linear``, ``interval``, ``segment``, ``learned``, ``auto``),
-replays the same trace through ``MultiGroupEngine.lookup_batch``,
-asserts all backends return byte-identical decisions, and writes
-``BENCH_lookup.json``: per-cell packets/sec, backend mix, memory items
-and learned mispredict rates.  ``--baseline BENCH_lookup.json`` gates CI
-on the *ratio* of each backend's throughput to the same-run linear
-backend (runner speed cancels out of the ratio, like the
-``BENCH_build.json`` normalized-cost gate).
 """
 
-import argparse
-import json
-import os
-import sys
-import time
-from typing import Dict, List, Optional
-
-if __package__ in (None, ""):  # script invocation: put src/ on the path
-    _SRC = os.path.join(os.path.dirname(__file__), "..", "src")
-    if os.path.isdir(_SRC) and _SRC not in sys.path:
-        sys.path.insert(0, _SRC)
-
-import numpy as np
 import pytest
 
 from repro.bench.harness import bench_rules, cached_suite
-from repro.core.packet import headers_array
-from repro.saxpac.config import EngineConfig
 from repro.saxpac.engine import SaxPacEngine
-from repro.workloads.generator import generate_classifier
 from repro.workloads.traces import generate_trace
 
 TRACE_LEN = 2000
-
-#: Ablation order: linear first — it is every cell's ratio denominator.
-ABLATION_BACKENDS = ("linear", "interval", "segment", "learned", "auto")
 
 
 @pytest.fixture(scope="module")
@@ -168,210 +133,3 @@ def test_memory_footprint(benchmark, workload, save_result):
             title=f"Memory footprint on acl1 ({n} rules)",
         ),
     )
-
-
-# ----------------------------------------------------------------------
-# Standalone per-backend ablation (python benchmarks/bench_lookup_throughput.py)
-# ----------------------------------------------------------------------
-def _ablate_cell(
-    style: str, rules: int, seed: int, trace_len: int, repeats: int
-) -> Dict[str, object]:
-    """One (style, rules) cell: every backend over the same trace, with
-    a byte-identical decision check against the linear backend."""
-    classifier = generate_classifier(style, rules, seed)
-    trace = generate_trace(classifier, trace_len, seed=seed + 1)
-    harr = headers_array(trace, classifier.schema)
-    cell: Dict[str, object] = {
-        "style": style,
-        "rules": rules,
-        "backends": {},
-    }
-    reference: Optional[np.ndarray] = None
-    for backend in ABLATION_BACKENDS:
-        engine = SaxPacEngine(
-            classifier, EngineConfig(lookup_backend=backend)
-        )
-        software = engine.software
-        out = software.lookup_batch(trace, harr)  # warmup + decisions
-        if reference is None:
-            reference = out
-        elif not np.array_equal(out, reference):
-            bad = int(np.nonzero(out != reference)[0][0])
-            raise AssertionError(
-                f"{style}/{rules}: backend {backend!r} diverges from "
-                f"linear on header {trace[bad]}: "
-                f"{int(out[bad])} != {int(reference[bad])}"
-            )
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            software.lookup_batch(trace, harr)
-            best = min(best, time.perf_counter() - start)
-        mix: Dict[str, int] = {}
-        for group in software.groups:
-            mix[group.backend] = mix.get(group.backend, 0) + 1
-        probes = mispredicts = 0
-        for group in software.groups:
-            stats = group.backend_stats()
-            probes += int(stats.get("model_probes", 0))
-            mispredicts += int(stats.get("mispredicts", 0))
-        cell["backends"][backend] = {
-            "seconds": round(best, 5),
-            "packets_per_second": round(trace_len / best) if best else 0,
-            "group_mix": mix,
-            "memory_items": sum(
-                g.memory_items() for g in software.groups
-            ),
-            "build_seconds": round(
-                sum(g.build_seconds for g in software.groups), 5
-            ),
-            "mispredict_rate": (
-                round(mispredicts / probes, 5) if probes else 0.0
-            ),
-        }
-    return cell
-
-
-def _cell_key(cell: Dict[str, object]) -> str:
-    return f"{cell['style']}/{cell['rules']}"
-
-
-def _ratios(cell: Dict[str, object]) -> Dict[str, float]:
-    """Backend throughput relative to the same-run linear backend — the
-    machine-independent number the CI gate compares."""
-    backends = cell["backends"]
-    base = backends.get("linear", {}).get("packets_per_second") or 0
-    if not base:
-        return {}
-    return {
-        name: stats["packets_per_second"] / base
-        for name, stats in backends.items()
-        if name != "linear"
-    }
-
-
-def _gate(
-    result: Dict[str, object], baseline_path: str, regression: float
-) -> List[str]:
-    """Ratio-based regression gate: each backend's linear-relative
-    throughput must not drop more than ``regression`` below the
-    same-cell baseline ratio.  Cells are compared only when the baseline
-    ran the same configuration."""
-    with open(baseline_path) as handle:
-        baseline = json.load(handle)
-    failures: List[str] = []
-    same_config = all(
-        baseline.get("config", {}).get(key) == result["config"][key]
-        for key in ("styles", "sizes", "seed", "trace")
-    )
-    if not same_config:
-        return failures
-    base_cells = {
-        _cell_key(cell): cell for cell in baseline.get("cells", [])
-    }
-    for cell in result["cells"]:
-        base = base_cells.get(_cell_key(cell))
-        if base is None:
-            continue
-        base_ratios = _ratios(base)
-        for name, ratio in _ratios(cell).items():
-            want = base_ratios.get(name)
-            if want is None:
-                continue
-            if ratio < want * (1.0 - regression):
-                failures.append(
-                    f"{_cell_key(cell)}: backend {name} regressed: "
-                    f"throughput ratio vs linear {want:.2f} -> "
-                    f"{ratio:.2f} (> {regression:.0%} drop)"
-                )
-    return failures
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        description="per-backend lookup throughput ablation"
-    )
-    parser.add_argument("--styles", nargs="*",
-                        default=["acl", "fw", "ipc"])
-    parser.add_argument("--sizes", type=int, nargs="*",
-                        default=[2000, 10000],
-                        help="classifier sizes (group-size sweep)")
-    parser.add_argument("--trace", type=int, default=20000,
-                        help="packets replayed per cell")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="timed repeats per backend (best-of)")
-    parser.add_argument("--seed", type=int, default=2014)
-    parser.add_argument("--quick", action="store_true",
-                        help="small smoke configuration for CI")
-    parser.add_argument("--baseline", default=None,
-                        help="gate against this BENCH_lookup.json")
-    parser.add_argument("--regression", type=float, default=0.25,
-                        help="max tolerated drop of a backend's "
-                             "linear-relative throughput ratio")
-    parser.add_argument("--out", default="BENCH_lookup.json")
-    return parser
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.quick:
-        args.sizes = [min(s, 2000) for s in args.sizes][:1]
-        args.trace = min(args.trace, 4000)
-        args.repeats = min(args.repeats, 2)
-    cells = [
-        _ablate_cell(style, rules, args.seed, args.trace, args.repeats)
-        for style in args.styles
-        for rules in args.sizes
-    ]
-    learned_wins = [
-        _cell_key(cell)
-        for cell in cells
-        if cell["backends"]["learned"]["packets_per_second"]
-        > cell["backends"]["interval"]["packets_per_second"]
-    ]
-    result = {
-        "benchmark": "lookup-backends",
-        "config": {
-            "styles": args.styles,
-            "sizes": args.sizes,
-            "trace": args.trace,
-            "repeats": args.repeats,
-            "seed": args.seed,
-            "quick": args.quick,
-        },
-        "cells": cells,
-        "summary": {
-            "learned_beats_interval_cells": learned_wins,
-        },
-    }
-    with open(args.out, "w") as handle:
-        json.dump(result, handle, indent=2)
-        handle.write("\n")
-
-    for cell in cells:
-        print(f"{_cell_key(cell)}  (trace={args.trace}):")
-        for name, stats in cell["backends"].items():
-            mix = ",".join(
-                f"{k}:{v}" for k, v in sorted(stats["group_mix"].items())
-            )
-            extra = (
-                f" mispredict={stats['mispredict_rate']:.2%}"
-                if stats["mispredict_rate"] else ""
-            )
-            print(f"  {name:<9} {stats['packets_per_second']:>12,} pkt/s"
-                  f"  mem={stats['memory_items']:>8,}  [{mix}]{extra}")
-    print(f"learned beats interval on: {learned_wins or 'no cell'}")
-    print(f"wrote {args.out}")
-
-    if args.baseline:
-        failures = _gate(result, args.baseline, args.regression)
-        for failure in failures:
-            print(f"GATE FAILURE: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print(f"gate OK vs {args.baseline}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

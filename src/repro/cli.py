@@ -72,20 +72,6 @@ def _save(classifier: Classifier, path: str, profile=None) -> None:
         write_classbench(classifier, path)
 
 
-def _add_lookup_backend_flag(verb) -> None:
-    """The shared per-group lookup-backend knob for engine-building
-    verbs.  ``auto`` is the heat-driven selector; the named backends
-    force one structure on every group (falling back per group when a
-    backend cannot serve it — decisions are identical either way)."""
-    verb.add_argument(
-        "--lookup-backend",
-        choices=("auto", "interval", "segment", "linear", "learned"),
-        default="auto",
-        help="per-group lookup structure (default: auto-select from "
-             "group size, field count and traffic heat)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse CLI (exposed for docs/tests)."""
     parser = argparse.ArgumentParser(
@@ -122,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     cls.add_argument("--trace", type=int, default=10000)
     cls.add_argument("--seed", type=int, default=1)
     cls.add_argument("--max-groups", type=int, default=None)
-    _add_lookup_backend_flag(cls)
     cls.add_argument("--cache", action="store_true",
                      help="enforce the MRCC cache property")
 
@@ -140,7 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="worker count (1 = unsharded; more runs shm "
                           "worker processes)")
     run.add_argument("--max-groups", type=int, default=None)
-    _add_lookup_backend_flag(run)
     run.add_argument("--cache", action="store_true",
                      help="enforce the MRCC cache property")
     run.add_argument("--updates", type=int, default=0,
@@ -197,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="worker count (1 = unsharded; more runs shm "
                           "worker processes)")
     srv.add_argument("--max-groups", type=int, default=None)
-    _add_lookup_backend_flag(srv)
     srv.add_argument("--cache", action="store_true",
                      help="enforce the MRCC cache property")
     srv.add_argument("--max-batch", type=int, default=8192,
@@ -342,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--batch-size", type=int, default=1024)
     top.add_argument("--shards", type=int, default=1)
     top.add_argument("--max-groups", type=int, default=None)
-    _add_lookup_backend_flag(top)
     top.add_argument("--cache", action="store_true",
                      help="enforce the MRCC cache property")
     top.add_argument("--top", type=int, default=10, dest="k",
@@ -464,7 +446,6 @@ def _cmd_classify(args) -> int:
     classifier, _ = _load(args.path)
     config = EngineConfig(
         max_groups=args.max_groups, enforce_cache=args.cache,
-        lookup_backend=args.lookup_backend,
     )
     engine = SaxPacEngine(classifier, config)
     report = engine.report()
@@ -552,7 +533,6 @@ def _cmd_runtime(args) -> int:
         deadline_ms=args.deadline_ms,
         engine=EngineConfig(
             max_groups=args.max_groups, enforce_cache=args.cache,
-            lookup_backend=args.lookup_backend,
         ),
     )
     injector = _build_injector(args, quiet=args.json)
@@ -707,7 +687,6 @@ def _cmd_serve(args) -> int:
         shed_watermark=args.shed_watermark,
         engine=EngineConfig(
             max_groups=args.max_groups, enforce_cache=args.cache,
-            lookup_backend=args.lookup_backend,
         ),
     )
     net_config = NetConfig(
@@ -1167,7 +1146,7 @@ def _cmd_top_watch(args) -> int:
 
 
 def _backend_heat_map(service):
-    """Heat key -> serving lookup-backend name, for the ``repro top``
+    """Heat key -> serving lookup-structure name, for the ``repro top``
     group annotations (None while the linear fallback serves)."""
     summary = service.backend_summary()
     if not summary:
@@ -1200,7 +1179,6 @@ def _cmd_top(args) -> int:
         num_shards=args.shards,
         engine=EngineConfig(
             max_groups=args.max_groups, enforce_cache=args.cache,
-            lookup_backend=args.lookup_backend,
         ),
     )
     obs = Observability.create(

@@ -7,12 +7,10 @@ candidate is checked on all remaining fields to rule out a false positive
 (Theorem 2).  The highest-priority surviving candidate wins; the catch-all
 backstops everything.
 
-Group probes use a pluggable lookup backend per group
-(:mod:`repro.lookup.backends`): binary search over disjoint intervals,
-the segment-tree two-field index, a vectorized linear scan, or the
-learned range index — picked explicitly or by the heat-driven ``auto``
-policy (:func:`~repro.lookup.backends.select_backend`).  Every backend
-is decision-identical; only the time/memory profile differs.
+Each group is probed by one exact structure, fixed by its field count
+(:func:`build_group_index`): binary search over disjoint intervals for
+one field, the flat segment-tree index for two, and a vectorized scan
+for more.
 
 The ``shadow`` mechanism implements the Section 7.2 insertion trick
 (Example 10): a freshly inserted rule that would need more fields/groups
@@ -23,6 +21,7 @@ collides with, bounded by the line-rate budget C.
 from __future__ import annotations
 
 import copy
+import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -61,15 +60,11 @@ class GroupIndex:
     fields: Tuple[int, ...]
     #: slot -> classifier rule index; -1 marks a tombstoned (removed) slot.
     rule_ids: np.ndarray
-    #: Which registered lookup backend built this index (stamped by
-    #: :func:`repro.lookup.backends.build_with_backend`).
+    #: Name of the lookup structure (``interval``, ``segment`` or
+    #: ``linear``).
     backend: str = "custom"
-    #: What the caller asked for (``auto`` or a forced name).
-    backend_requested: str = "custom"
-    #: True when the requested backend could not serve this group and
-    #: the structural default was used instead.
-    backend_fallback: bool = False
-    #: Wall-clock seconds spent constructing this index.
+    #: Wall-clock seconds spent constructing this index (stamped by
+    #: :func:`build_group_index`).
     build_seconds: float = 0.0
 
     def probe(self, header: Sequence[int]) -> Optional[int]:
@@ -88,11 +83,9 @@ class GroupIndex:
         """Shallow copy sharing the lookup structure, with slots relabeled
         by ``rule_ids`` (length = slot count; -1 tombstones a slot).
 
-        The clone carries its backend identity but gets *private* mutable
-        backend state (via :meth:`_on_reindexed`) — counters and pending
-        telemetry must not be shared between the serving engine and a
-        tombstone view, or rebuilds would double-count (and a retired
-        engine could mutate its successor's stats).
+        Derived per-label state is recomputed for the clone (via
+        :meth:`_on_reindexed`), so the serving engine and a tombstone
+        view never share anything mutable.
         """
         clone = copy.copy(self)
         clone.rule_ids = np.asarray(rule_ids, dtype=np.int64)
@@ -104,45 +97,27 @@ class GroupIndex:
         return clone
 
     def _on_reindexed(self) -> None:
-        """Hook for subclasses holding mutable backend state: give the
-        reindexed clone its own copies.  Default: nothing to carry."""
+        """Hook for subclasses holding state derived from ``rule_ids``:
+        recompute it for the clone.  Default: nothing to derive."""
 
     def __len__(self) -> int:
         """Live (non-tombstoned) rules in the group."""
         return int((self.rule_ids >= 0).sum())
 
-    # -- backend accounting (see repro.lookup.backends) ----------------
     def memory_items(self) -> int:
-        """Stored scalars — the memory half of the backend report."""
+        """Stored scalars — the memory half of :meth:`backend_report`."""
         return int(self.rule_ids.size)
 
-    def backend_stats(self) -> Dict[str, object]:
-        """Backend-specific cumulative statistics (learned mispredict
-        rates etc.); empty for stateless structures."""
-        return {}
-
-    def drain_backend_events(self) -> Dict[str, int]:
-        """Event deltas since the last drain, for telemetry counters;
-        empty for stateless structures."""
-        return {}
-
     def backend_report(self) -> Dict[str, object]:
-        """Memory + build-cost summary of this index (the report half of
-        the :class:`~repro.lookup.backends.LookupBackend` protocol)."""
-        report: Dict[str, object] = {
+        """Structure name, shape, memory and build cost of this index."""
+        return {
             "backend": self.backend,
-            "requested": self.backend_requested,
-            "fallback": self.backend_fallback,
             "fields": list(self.fields),
             "slots": int(self.rule_ids.size),
             "live": len(self),
             "memory_items": self.memory_items(),
             "build_seconds": self.build_seconds,
         }
-        stats = self.backend_stats()
-        if stats:
-            report["stats"] = stats
-        return report
 
     def _translate(self, slot: Optional[int]) -> Optional[int]:
         if slot is None:
@@ -294,32 +269,21 @@ class LinearGroupIndex(GroupIndex):
 
 
 def build_group_index(
-    classifier: Classifier,
-    group: Group,
-    cascading: bool = False,
-    backend: str = "structural",
-    heat: Optional[Dict[str, object]] = None,
-    position: Optional[int] = None,
+    classifier: Classifier, group: Group, cascading: bool = False
 ) -> GroupIndex:
-    """Build a group's lookup structure through the backend registry.
-
-    ``backend`` is a registered backend name, ``auto`` (the heat-driven
-    selector) or ``structural`` — the historical field-count dispatch:
-    interval map (1 field), segment tree (2, with ``cascading`` picking
-    the fractionally-cascaded variant), linear scan otherwise.
-    """
-    from .backends import build_with_backend, structural_backend_name
-
-    if backend == "structural":
-        backend = structural_backend_name(group)
-    return build_with_backend(
-        classifier,
-        group,
-        backend,
-        cascading=cascading,
-        heat=heat,
-        position=position,
-    )
+    """The lookup structure for ``group``, fixed by its field count:
+    interval map (1 field), segment tree (2, with ``cascading`` adding
+    the fractionally-cascaded variant for single-header probes), linear
+    scan otherwise.  Stamps the build wall-clock on the index."""
+    start = time.perf_counter()
+    if len(group.fields) == 1:
+        index: GroupIndex = _OneFieldIndex(classifier, group)
+    elif len(group.fields) == 2:
+        index = _TwoFieldGroupIndex(classifier, group, cascading)
+    else:
+        index = LinearGroupIndex(classifier, group)
+    index.build_seconds = time.perf_counter() - start
+    return index
 
 
 @dataclass
@@ -350,24 +314,15 @@ class MultiGroupEngine:
         cascading: bool = False,
         recorder=None,
         prebuilt: Optional[Sequence[GroupIndex]] = None,
-        backend: str = "auto",
-        heat: Optional[Dict[str, object]] = None,
     ) -> None:
         self.classifier = classifier
-        #: Backend spec the engine was built with (``auto`` or a forced
-        #: name) — rebuilds re-resolve it against fresh group shapes.
-        self.backend_spec = backend
         if prebuilt is not None:
             # Incremental rebuilds hand over already-constructed (possibly
             # reindexed / tombstoned) group indexes; ``groups`` is ignored.
             self.groups = list(prebuilt)
         else:
             self.groups = [
-                build_group_index(
-                    classifier, g, cascading,
-                    backend=backend, heat=heat, position=i,
-                )
-                for i, g in enumerate(groups)
+                build_group_index(classifier, g, cascading) for g in groups
             ]
         self.shadow: Dict[int, Tuple[int, ...]] = dict(shadow or {})
         self.stats = EngineStats()
@@ -386,8 +341,8 @@ class MultiGroupEngine:
         return sum(len(g) for g in self.groups)
 
     def backend_summary(self) -> List[Dict[str, object]]:
-        """Per-group backend reports (name, fallback, memory, build cost,
-        backend-specific stats), in group order."""
+        """Per-group structure reports (name, shape, memory, build
+        cost), in group order."""
         return [g.backend_report() for g in self.groups]
 
     @property
@@ -486,7 +441,8 @@ class MultiGroupEngine:
         return best
 
     def _record_batch(self, n, flat, verified) -> None:
-        """Per-group counters, backend events and heat for one batch."""
+        """Per-group counters, per-structure counters and heat for one
+        batch."""
         recorder = self.recorder
         heat = recorder.heat
         num_groups = len(self.groups)
@@ -507,18 +463,6 @@ class MultiGroupEngine:
                 recorder.incr(
                     f"lookup.backend.{group.backend}.candidates", found
                 )
-            events = group.drain_backend_events()
-            if events:
-                for name, value in events.items():
-                    recorder.incr(
-                        f"lookup.backend.{group.backend}.{name}", value
-                    )
-                probes = events.get("model_probes", 0)
-                if probes:
-                    recorder.observe(
-                        "lookup.learned.mispredict_rate",
-                        events.get("mispredicts", 0) / probes,
-                    )
             if heat is not None:
                 heat.record_group(
                     self._group_keys[gi],

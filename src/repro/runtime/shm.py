@@ -113,7 +113,7 @@ STATUS_RECLAIMED = 2
 #: (distinguishable in logs from real faults, which exit negative).
 CRASH_EXIT_CODE = 17
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 #: How long an idle worker sleeps on its work bell before re-checking
 #: its control pipe (bounds how long it outlives a vanished dispatcher).
@@ -153,9 +153,10 @@ def pack_snapshot(
     flat pass of ``Rule`` construction.
 
     ``engine`` (serving ``classifier``) adds its decomposition — each
-    group's fields, lookup backend and members as int64 bytes, plus the
-    D indices — so workers compile lookup structures directly instead
-    of re-running the disjointness and grouping stages.
+    group's fields and members as int64 bytes, plus the D indices — so
+    workers compile lookup structures directly instead of re-running the
+    disjointness and grouping stages.  Each worker derives a group's
+    structure from its field count, as every build does.
     """
     lows, highs = classifier.bounds_arrays()
     if lows.dtype == object:
@@ -198,23 +199,22 @@ def _pack_decomposition(engine) -> Optional[Dict[str, object]]:
     decompose = getattr(engine, "decomposition", None)
     if decompose is None:
         return None
-    groups, d_indices, backends = decompose()
+    groups, d_indices = decompose()
     return {
         "groups": [
             (
                 tuple(group.fields),
-                backend,
                 np.asarray(group.rule_indices, dtype=np.int64).tobytes(),
             )
-            for group, backend in zip(groups, backends)
+            for group in groups
         ],
         "d": np.asarray(d_indices, dtype=np.int64).tobytes(),
     }
 
 
 def unpack_decomposition(payload: Dict[str, object]):
-    """The shipped ``(groups, d_indices, backends)`` of a snapshot, or
-    None when it carries none."""
+    """The shipped ``(groups, d_indices)`` of a snapshot, or None when it
+    carries none."""
     packed = payload.get("decomposition")
     if packed is None:
         return None
@@ -225,11 +225,10 @@ def unpack_decomposition(payload: Dict[str, object]):
             ),
             fields=fields,
         )
-        for fields, _backend, members in packed["groups"]
+        for fields, members in packed["groups"]
     )
-    backends = tuple(backend for _f, backend, _m in packed["groups"])
     d_indices = tuple(np.frombuffer(packed["d"], dtype=np.int64).tolist())
-    return groups, d_indices, backends
+    return groups, d_indices
 
 
 def unpack_snapshot(payload: Dict[str, object]) -> Tuple[Classifier, object]:
@@ -455,9 +454,9 @@ def _build_engine(snapshot, recorder):
     decomposition = unpack_decomposition(snapshot)
     if decomposition is None:
         return SaxPacEngine(classifier, config, recorder=recorder)
-    groups, d_indices, backends = decomposition
+    groups, d_indices = decomposition
     return SaxPacEngine.from_decomposition(
-        classifier, config, groups, d_indices, backends, recorder=recorder
+        classifier, config, groups, d_indices, recorder=recorder
     )
 
 

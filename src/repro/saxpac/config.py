@@ -45,12 +45,6 @@ class EngineConfig:
     use_cascading:
         Use the fractionally-cascaded two-field index (O(log N) probes)
         instead of the plain segment-tree variant (O(log^2 N)).
-    lookup_backend:
-        Per-group lookup structure: a registered backend name
-        (``interval``, ``segment``, ``linear``, ``learned``) forced on
-        every group, or ``auto`` (default) for the heat-driven selector
-        (:func:`repro.lookup.backends.select_backend`).  Every backend
-        is decision-identical; this only moves time and memory around.
     """
 
     max_group_fields: int = 2
@@ -60,7 +54,6 @@ class EngineConfig:
     enforce_cache: bool = False
     d_capacity: Optional[int] = None
     use_cascading: bool = False
-    lookup_backend: str = "auto"
 
     def __post_init__(self) -> None:
         if self.max_group_fields < 1:
@@ -71,13 +64,6 @@ class EngineConfig:
             raise ValueError("min_group_size must be >= 1")
         if self.fp_budget < 1:
             raise ValueError("fp_budget must be >= 1")
-        from ..lookup.backends import backend_names
-
-        if self.lookup_backend not in backend_names(include_auto=True):
-            raise ValueError(
-                f"unknown lookup_backend {self.lookup_backend!r}; "
-                f"expected one of {backend_names(include_auto=True)}"
-            )
 
 
 @dataclass(frozen=True)

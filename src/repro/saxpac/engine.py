@@ -32,7 +32,11 @@ from ..chaos.injector import NULL_INJECTOR
 from ..core.actions import Action
 from ..core.classifier import Classifier, MatchResult
 from ..core.packet import headers_array
-from ..lookup.group_engine import MultiGroupEngine
+from ..lookup.group_engine import (
+    GroupIndex,
+    MultiGroupEngine,
+    build_group_index,
+)
 from ..runtime.telemetry import NULL_RECORDER
 from ..tcam.encoding import BinaryRangeEncoder, RangeEncoder
 from ..tcam.bitset import BitsetTcam
@@ -66,15 +70,10 @@ class EngineReport:
     #: True when this engine came from :meth:`SaxPacEngine.rebuild` reusing
     #: prior structures rather than a from-scratch compile.
     build_incremental: bool = field(default=False, compare=False)
-    #: Lookup backend serving each group, in group order (``interval``,
-    #: ``segment``, ``linear`` or ``learned``).  Like the timing fields,
-    #: the backend assignment is an implementation detail, not structure:
-    #: it stays out of equality so two decision-identical builds compare
-    #: equal even when the auto policy picked differently.
+    #: Lookup structure serving each group, in group order (``interval``,
+    #: ``segment`` or ``linear``).  Like the timing fields it stays out
+    #: of equality: it is an implementation detail, not structure.
     group_backends: Tuple[str, ...] = field(default=(), compare=False)
-    #: Aggregate mispredict rate of the learned backend's model probes
-    #: (0.0 when no learned group exists or none has been probed yet).
-    learned_mispredict_rate: float = field(default=0.0, compare=False)
 
     @property
     def software_fraction(self) -> float:
@@ -169,17 +168,6 @@ class SaxPacEngine:
         opens an ``engine.build.<name>`` span when tracing is on."""
         return _BuildStage(name, stages, self.recorder)
 
-    def _heat_groups(self) -> Optional[dict]:
-        """Per-group traffic heat (the ``auto`` selector's signal), or
-        None when the recorder carries no profiler.  Keys follow
-        :func:`repro.lookup.backends.selector.group_heat_key`, which is
-        exactly how :class:`~repro.lookup.group_engine.MultiGroupEngine`
-        records probes — so rebuilds re-pick against live traffic."""
-        heat = getattr(self.recorder, "heat", None)
-        if heat is None:
-            return None
-        return heat.report().get("groups")
-
     def _build(self) -> None:
         cfg = self.config
         classifier = self.classifier
@@ -211,44 +199,20 @@ class SaxPacEngine:
         self._compile(grouping, stages)
 
     def _compile(
-        self,
-        grouping: MGRResult,
-        stages: List[Tuple[str, float]],
-        backends: Optional[Sequence[str]] = None,
+        self, grouping: MGRResult, stages: List[Tuple[str, float]]
     ) -> None:
-        """Lookup structures for a decomposition: one index per group
-        (``backends`` forces each group's backend, else the configured
-        policy picks), then D programmed into the TCAM and its bitsets."""
+        """Lookup structures for a decomposition: one index per group,
+        then D programmed into the TCAM and its bitsets."""
         cfg = self.config
         classifier = self.classifier
         self.grouping = grouping
         with self._stage("lookup", stages):
-            if backends is None:
-                self.software = MultiGroupEngine(
-                    classifier,
-                    grouping.groups,
-                    cascading=cfg.use_cascading,
-                    recorder=self.recorder,
-                    backend=cfg.lookup_backend,
-                    heat=self._heat_groups(),
-                )
-            else:
-                from ..lookup.group_engine import build_group_index
-
-                self.software = MultiGroupEngine(
-                    classifier,
-                    (),
-                    cascading=cfg.use_cascading,
-                    recorder=self.recorder,
-                    prebuilt=[
-                        build_group_index(
-                            classifier, group, cfg.use_cascading,
-                            backend=name,
-                        )
-                        for group, name in zip(grouping.groups, backends)
-                    ],
-                    backend=cfg.lookup_backend,
-                )
+            self.software = MultiGroupEngine(
+                classifier,
+                grouping.groups,
+                cascading=cfg.use_cascading,
+                recorder=self.recorder,
+            )
         self._d_indices: Tuple[int, ...] = grouping.ungrouped
         with self._stage("tcam", stages):
             self._tcam, self._tcam_view = build_tcam(
@@ -272,13 +236,12 @@ class SaxPacEngine:
         config: Optional[EngineConfig],
         groups: Sequence[Group],
         d_indices: Sequence[int],
-        backends: Sequence[str],
         recorder=None,
         injector=None,
     ) -> "SaxPacEngine":
         """An engine serving a decomposition computed by another engine
-        over the same rules (``groups``, their ``backends`` and the D
-        indices, as :meth:`decomposition` returns them).  Skips the
+        over the same rules (``groups`` and the D indices, as
+        :meth:`decomposition` returns them).  Skips the
         disjointness and grouping stages — shared-memory shard workers
         compile a snapshot this way — and answers exactly like any
         engine over ``classifier``."""
@@ -290,20 +253,13 @@ class SaxPacEngine:
         self.injector = injector if injector is not None else NULL_INJECTOR
         l = min(self.config.max_group_fields, classifier.num_fields)
         grouping = MGRResult(tuple(groups), tuple(sorted(d_indices)), l)
-        self._compile(grouping, [], backends=backends)
+        self._compile(grouping, [])
         return self
 
-    def decomposition(
-        self,
-    ) -> Tuple[Tuple[Group, ...], Tuple[int, ...], Tuple[str, ...]]:
-        """``(groups, d_indices, backends)``: live group members and
-        fields, the order-dependent part, and each group's lookup
-        backend — what :meth:`from_decomposition` needs."""
-        return (
-            self.grouping.groups,
-            self._d_indices,
-            tuple(index.backend for index in self.software.groups),
-        )
+    def decomposition(self) -> Tuple[Tuple[Group, ...], Tuple[int, ...]]:
+        """``(groups, d_indices)``: live group members and fields and the
+        order-dependent part — what :meth:`from_decomposition` needs."""
+        return self.grouping.groups, self._d_indices
 
     # ------------------------------------------------------------------
     # Incremental rebuild
@@ -346,17 +302,15 @@ class SaxPacEngine:
         old_to_new, added = plan
         with self._stage("grouping", stages):
             l = min(cfg.max_group_fields, new_classifier.num_fields)
-            #: (old position, old index, relabeled rule_ids) per carried
-            #: group — the backend re-pick in the lookup stage needs the
-            #: old position to read heat recorded under the old engine.
-            carried: List[Tuple[int, object, np.ndarray]] = []
-            for pos, index in enumerate(self.software.groups):
+            #: (old index, relabeled rule_ids) per carried group.
+            carried: List[Tuple[GroupIndex, np.ndarray]] = []
+            for index in self.software.groups:
                 ids = index.rule_ids
                 mapped = np.where(
                     ids >= 0, old_to_new[np.maximum(ids, 0)], np.int64(-1)
                 )
                 if (mapped >= 0).any():
-                    carried.append((pos, index, mapped))
+                    carried.append((index, mapped))
             spill: set = set()
             delta_groups: List[Group] = []
             if added:
@@ -376,56 +330,17 @@ class SaxPacEngine:
                     else:
                         delta_groups.append(group)
         with self._stage("lookup", stages):
-            from ..lookup.backends import select_backend
-            from ..lookup.group_engine import build_group_index
-
-            heat = (
-                self._heat_groups()
-                if cfg.lookup_backend == "auto"
-                else None
+            indexes = [index.reindexed(mapped) for index, mapped in carried]
+            indexes.extend(
+                build_group_index(new_classifier, g, cfg.use_cascading)
+                for g in delta_groups
             )
-            indexes = []
-            for pos, index, mapped in carried:
-                live = Group(
-                    rule_indices=tuple(
-                        int(r) for r in mapped if r >= 0
-                    ),
-                    fields=index.fields,
-                )
-                if cfg.lookup_backend == "auto":
-                    # Re-pick against live membership and traffic heat
-                    # (keyed by the group's *old* position, where the
-                    # heat was recorded).  A changed pick forces a fresh
-                    # structure — a reindexed view must never keep
-                    # serving a model the selector just demoted.
-                    pick = select_backend(
-                        new_classifier, live, heat=heat, position=pos
-                    )
-                    if pick != index.backend:
-                        indexes.append(
-                            build_group_index(
-                                new_classifier, live, cfg.use_cascading,
-                                backend=pick,
-                            )
-                        )
-                        continue
-                indexes.append(index.reindexed(mapped))
-            for g in delta_groups:
-                indexes.append(
-                    build_group_index(
-                        new_classifier, g, cfg.use_cascading,
-                        backend=cfg.lookup_backend,
-                        heat=heat,
-                        position=len(indexes),
-                    )
-                )
             software = MultiGroupEngine(
                 new_classifier,
                 (),
                 cascading=cfg.use_cascading,
                 recorder=self.recorder,
                 prebuilt=indexes,
-                backend=cfg.lookup_backend,
             )
         carried_d = [
             int(old_to_new[i]) for i in self._d_indices if old_to_new[i] >= 0
@@ -716,11 +631,6 @@ class SaxPacEngine:
                 tcam_entries_full=-1,
             )
         full_entries = classifier_entry_count(self.classifier, self.encoder)
-        probes = mispredicts = 0
-        for index in self.software.groups:
-            stats = index.backend_stats()
-            probes += int(stats.get("model_probes", 0))
-            mispredicts += int(stats.get("mispredicts", 0))
         return EngineReport(
             total_rules=len(self.classifier.body),
             software_rules=self.software.num_rules,
@@ -735,13 +645,10 @@ class SaxPacEngine:
             group_backends=tuple(
                 g.backend for g in self.software.groups
             ),
-            learned_mispredict_rate=(
-                mispredicts / probes if probes else 0.0
-            ),
         )
 
     def backend_summary(self) -> List[dict]:
-        """Per-group lookup-backend reports (name, fallback, memory,
-        build cost, model stats), in group order — the detail behind
+        """Per-group lookup-structure reports (name, shape, memory,
+        build cost), in group order — the detail behind
         :attr:`EngineReport.group_backends`."""
         return self.software.backend_summary()

@@ -13,8 +13,10 @@ Three axes of coverage:
 * ClassBench-style acl/fw/ipc classifiers from the workload generator;
 * engines that have been through :meth:`SaxPacEngine.rebuild` (the
   incremental path the hot-swap runtime exercises);
-* every registered lookup backend, forced engine-wide — including after
-  a rebuild — since backends promise byte-identical decisions;
+* each group lookup structure on its own (``max_group_fields`` 1, 2
+  and 3 build only interval maps, segment trees and linear scans), fresh
+  and after an incremental rebuild that tombstones, reindexes and adds
+  groups;
 * the shared-memory shard transport (``shard_mode=shm``), whose workers
   classify slab views in other processes yet must answer identically.
 """
@@ -41,7 +43,8 @@ _HEADERS_PER_EXAMPLE = 12
 
 STYLES = ("acl", "fw", "ipc")
 
-BACKENDS = ("auto", "interval", "segment", "linear", "learned")
+#: ``max_group_fields`` -> the one structure the field-count rule builds.
+STRUCTURES = {1: "interval", 2: "segment", 3: "linear"}
 
 
 def _assert_agrees(engine, reference: Classifier, headers) -> None:
@@ -96,23 +99,45 @@ class TestClassBenchStyles:
         _assert_agrees(engine, classifier, headers)
 
 
-@pytest.fixture(scope="module", params=BACKENDS)
+def _structure_engine(engine, max_group_fields):
+    """``engine``, after checking that every group got the structure its
+    field count fixes."""
+    assert engine.software.groups
+    assert {g.backend for g in engine.software.groups} == {
+        STRUCTURES[max_group_fields]
+    }
+    return engine
+
+
+@pytest.fixture(
+    scope="module", params=sorted(STRUCTURES), ids=STRUCTURES.get
+)
 def backend_engine(request):
-    """An engine with one lookup backend forced on every group."""
+    """An engine whose groups all use one lookup structure."""
     classifier = generate_classifier("acl", 120, seed=211)
-    config = EngineConfig(lookup_backend=request.param)
-    return classifier, SaxPacEngine(classifier, config)
+    config = EngineConfig(max_group_fields=request.param)
+    engine = SaxPacEngine(classifier, config)
+    return classifier, _structure_engine(engine, request.param)
 
 
-@pytest.fixture(scope="module", params=BACKENDS)
+@pytest.fixture(
+    scope="module", params=sorted(STRUCTURES), ids=STRUCTURES.get
+)
 def backend_rebuilt_engine(request):
-    """Per-backend engine that went through the incremental rebuild
-    path (reindexed/tombstoned group views + delta groups)."""
+    """A one-structure engine that went through the incremental rebuild
+    path: six carried rules removed (tombstoned slots), the rest
+    reindexed, and nine new rules grouped into delta groups."""
     classifier = generate_classifier("fw", 120, seed=223)
-    truncated = Classifier(classifier.schema, classifier.body[:80])
-    config = EngineConfig(lookup_backend=request.param)
-    engine = SaxPacEngine(truncated, config).rebuild(classifier)
-    return classifier, engine
+    body = classifier.body
+    old = Classifier(classifier.schema, body[:110])
+    new = Classifier(
+        classifier.schema, [r for i, r in enumerate(body) if i % 20 != 5]
+    )
+    config = EngineConfig(max_group_fields=request.param)
+    engine = SaxPacEngine(old, config).rebuild(new)
+    assert engine.build_incremental
+    assert any((g.rule_ids < 0).any() for g in engine.software.groups)
+    return new, _structure_engine(engine, request.param)
 
 
 class TestPerBackend:

@@ -63,16 +63,20 @@ class TestSnapshot:
         engine = SaxPacEngine(classifier)
         payload = pack_snapshot(classifier, EngineConfig(), engine)
         rebuilt, config = unpack_snapshot(payload)
-        groups, d_indices, backends = unpack_decomposition(payload)
-        assert (groups, d_indices, backends) == engine.decomposition()
+        groups, d_indices = unpack_decomposition(payload)
+        assert (groups, d_indices) == engine.decomposition()
         worker = SaxPacEngine.from_decomposition(
-            rebuilt, config, groups, d_indices, backends
+            rebuilt, config, groups, d_indices
         )
         # No disjointness or grouping stage ran on the worker side.
         assert [name for name, _ in worker.build_stages] == [
             "lookup", "tcam"
         ]
         assert worker.report() == engine.report()
+        # Each worker derives the same structure per group.
+        assert (
+            worker.report().group_backends == engine.report().group_backends
+        )
         assert list(worker.match_batch_indices(trace)) == expected
         assert pack_snapshot(classifier, EngineConfig())[
             "decomposition"
