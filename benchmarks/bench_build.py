@@ -18,13 +18,17 @@ classifier and reports:
 * an **incremental rebuild** of a ~1% rule change (half removals, half
   insertions) via :meth:`SaxPacEngine.rebuild`, path-equivalence-checked
   against a fresh build on sampled packets, with the rebuild-vs-full
-  speedup (the headline number: >= 10x on the default config).
+  speedup (the headline number: >= 10x on the default config);
+* the **service set-up**: ``HotSwapRuntime(classifier)`` (seeding the
+  rule table, then the same full engine build), with its ratio to the
+  full build.
 
 ``--baseline BENCH_build.json`` gates regressions for CI: engine
 structure (groups / software rules / TCAM entries) must be identical and
 full-build time must not regress more than ``--regression`` (default
 20%).  Structure is compared only when the baseline ran the same
-(style, rules, seed) configuration.
+(style, rules, seed) configuration.  ``--max-setup-ratio R`` fails the
+run when the service set-up takes more than R times the full build.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ import numpy as np
 from repro.analysis.mgr import l_mgr_reference
 from repro.analysis.mrc import _fields_or_all, _greedy_independent_scan
 from repro.core.classifier import Classifier
+from repro.runtime.swap import HotSwapRuntime
 from repro.saxpac.engine import SaxPacEngine
 from repro.workloads.generator import STYLES, generate_classifier
 
@@ -199,6 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="gate against this BENCH_build.json")
     parser.add_argument("--regression", type=float, default=0.20,
                         help="max tolerated full-build slowdown vs baseline")
+    parser.add_argument("--max-setup-ratio", type=float, default=None,
+                        help="fail when HotSwapRuntime set-up exceeds this "
+                             "multiple of the full build")
     parser.add_argument("--out", default="BENCH_build.json")
     return parser
 
@@ -214,6 +222,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     engine = SaxPacEngine(classifier)
     full_seconds = time.perf_counter() - start
     report = engine.report()
+
+    start = time.perf_counter()
+    HotSwapRuntime(classifier)
+    setup_seconds = time.perf_counter() - start
+    setup_ratio = setup_seconds / full_seconds
 
     reference = None
     if not args.skip_reference:
@@ -259,6 +272,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                 name: round(seconds, 4) for name, seconds in report.build_stages
             },
         },
+        "service_setup": {
+            "seconds": round(setup_seconds, 4),
+            "ratio_to_build": round(setup_ratio, 2),
+        },
         "reference_scan": reference,
         "incremental_rebuild": {
             "seconds": round(rebuild_seconds, 4),
@@ -279,6 +296,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"rules={len(classifier.body)} style={args.style} seed={args.seed}")
     print(f"  full build : {full_seconds:8.3f}s  "
           + " ".join(f"{n}={s:.3f}s" for n, s in report.build_stages))
+    print(f"  set-up     : {setup_seconds:8.3f}s  "
+          f"(HotSwapRuntime, {setup_ratio:.2f}x the full build)")
     if reference is not None:
         ref_total = (
             reference["disjointness_seconds"] + reference["grouping_seconds"]
@@ -291,12 +310,19 @@ def main(argv: Optional[List[str]] = None) -> int:
           f"{checked} headers)")
     print(f"wrote {args.out}")
 
+    failures = []
+    if args.max_setup_ratio is not None and setup_ratio > args.max_setup_ratio:
+        failures.append(
+            f"service set-up is {setup_ratio:.2f}x the full build "
+            f"(> {args.max_setup_ratio:.2f}x)"
+        )
     if args.baseline:
-        failures = _gate(result, args.baseline, args.regression)
-        for failure in failures:
-            print(f"GATE FAILURE: {failure}", file=sys.stderr)
-        if failures:
-            return 1
+        failures += _gate(result, args.baseline, args.regression)
+    for failure in failures:
+        print(f"GATE FAILURE: {failure}", file=sys.stderr)
+    if failures:
+        return 1
+    if args.baseline:
         print(f"gate OK vs {args.baseline}")
     return 0
 

@@ -56,16 +56,20 @@ class Classifier:
     ) -> None:
         self.schema = schema
         rule_list = list(rules)
+        k = len(schema)
+        limits = [spec.max_value for spec in schema]
         for i, rule in enumerate(rule_list):
-            if rule.num_fields != len(schema):
+            intervals = rule.intervals
+            if len(intervals) != k:
                 raise ValueError(
-                    f"rule {i} has {rule.num_fields} fields, "
-                    f"schema expects {len(schema)}"
+                    f"rule {i} has {len(intervals)} fields, "
+                    f"schema expects {k}"
                 )
-            for iv, spec in zip(rule.intervals, schema):
-                if iv.high > spec.max_value:
+            for f, limit in enumerate(limits):
+                if intervals[f].high > limit:
+                    spec = schema[f]
                     raise ValueError(
-                        f"rule {i}: interval {iv} exceeds field "
+                        f"rule {i}: interval {intervals[f]} exceeds field "
                         f"{spec.name!r} ({spec.width} bits)"
                     )
         if ensure_catch_all:
@@ -204,20 +208,53 @@ class Classifier:
         wide for int64 (e.g. 128-bit IPv6 prefixes).  Cached; treat as
         read-only."""
         if self._bounds is None:
-            body = self.body
-            k = self.num_fields
-            wide = any(spec.width > 62 for spec in self.schema)
-            dtype = object if wide else np.int64
-            lows = np.empty((len(body), k), dtype=dtype)
-            highs = np.empty((len(body), k), dtype=dtype)
-            for j, rule in enumerate(body):
-                for i, iv in enumerate(rule.intervals):
-                    lows[j, i] = iv.low
-                    highs[j, i] = iv.high
-            lows.setflags(write=False)
-            highs.setflags(write=False)
-            self._bounds = (lows, highs)
+            self._set_bounds(*self._rule_bounds(self.body))
         return self._bounds
+
+    def carry_bounds(
+        self, previous: "Classifier", previous_to_self: np.ndarray
+    ) -> None:
+        """Seed the :meth:`bounds_arrays` cache from ``previous``'s, for a
+        classifier that shares most of its rules with it:
+        ``previous_to_self[i]`` is this classifier's body index of
+        ``previous``'s body rule ``i`` (-1 when it is gone).  Rows no
+        previous rule maps to are derived from their rules.  A schema
+        mismatch or an already cached matrix leaves the cache alone."""
+        if self._bounds is not None or previous.schema != self.schema:
+            return
+        old_lows, old_highs = previous.bounds_arrays()
+        mapping = np.asarray(previous_to_self)[: len(previous.body)]
+        src = np.flatnonzero(mapping >= 0)
+        dst = mapping[src]
+        shape = (len(self.body), self.num_fields)
+        lows = np.empty(shape, dtype=old_lows.dtype)
+        highs = np.empty(shape, dtype=old_highs.dtype)
+        lows[dst] = old_lows[src]
+        highs[dst] = old_highs[src]
+        rows = np.setdiff1d(np.arange(shape[0]), dst)
+        if rows.size:
+            body = self.body
+            lows[rows], highs[rows] = self._rule_bounds(
+                [body[j] for j in rows.tolist()]
+            )
+        self._set_bounds(lows, highs)
+
+    def _rule_bounds(
+        self, rules: Sequence[Rule]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(lows, highs)`` of ``rules``, one row per rule."""
+        wide = any(spec.width > 62 for spec in self.schema)
+        dtype = object if wide else np.int64
+        k = self.num_fields
+        intervals = [iv for rule in rules for iv in rule.intervals]
+        lows = np.array([iv.low for iv in intervals], dtype=dtype)
+        highs = np.array([iv.high for iv in intervals], dtype=dtype)
+        return lows.reshape(-1, k), highs.reshape(-1, k)
+
+    def _set_bounds(self, lows: np.ndarray, highs: np.ndarray) -> None:
+        lows.setflags(write=False)
+        highs.setflags(write=False)
+        self._bounds = (lows, highs)
 
     # ------------------------------------------------------------------
     # Equivalence testing

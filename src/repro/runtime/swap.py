@@ -1,14 +1,16 @@
 """RCU-style hot swap: rebuild the engine off the data path, swap
 atomically, degrade gracefully.
 
-A :class:`HotSwapRuntime` owns the authoritative rule state (a
-:class:`~repro.saxpac.updates.DynamicSaxPac` update log) and a built
-serving engine.  Updates apply to the dynamic state immediately and are
-recorded in :attr:`~HotSwapRuntime.update_log`; a rebuild — inline by
+A :class:`HotSwapRuntime` owns the authoritative rule state (an ordered
+rule table: rule id → :class:`~repro.core.rule.Rule`, in priority order)
+and a built serving engine.  Updates apply to the table immediately and
+are recorded in :attr:`~HotSwapRuntime.update_log`; a rebuild — inline by
 default, in a background thread when ``background=True`` — constructs a
 fresh :class:`~repro.saxpac.engine.SaxPacEngine` from a snapshot and swaps
 it in with one attribute store (atomic under the GIL, the RCU
-writer-side).  Readers grab the engine reference once per lookup or batch
+writer-side).  The table does no placement of its own: the engine
+decomposes each snapshot into groups and D, so seeding is one pass over
+the rules.  Readers grab the engine reference once per lookup or batch
 and finish on whichever engine they started with (the read-side), so
 traffic never blocks on a rebuild.
 
@@ -33,17 +35,18 @@ the ``swap.build`` injection site (see :mod:`repro.chaos`).
 
 from __future__ import annotations
 
+import bisect
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..chaos.injector import NULL_INJECTOR
 from ..core.classifier import Classifier, MatchResult
 from ..core.rule import Rule
 from ..saxpac.config import EngineConfig
 from ..saxpac.engine import SaxPacEngine
-from ..saxpac.updates import DynamicSaxPac, InsertReport
+from ..saxpac.updates import InsertOutcome, InsertReport
 from .batch import linear_match_batch
 from .telemetry import NULL_RECORDER
 
@@ -92,8 +95,8 @@ class HotSwapRuntime:
         injector=None,
         health=None,
     ) -> None:
-        """``source`` is a :class:`Classifier` (converted to dynamic
-        state rule by rule) or an existing :class:`DynamicSaxPac`.
+        """``source`` is the :class:`Classifier` to seed the rule table
+        with: its body rules get ids 0..n-1 in priority order.
         ``builder`` maps a classifier snapshot to a serving engine —
         override to inject build policies (or failures, in tests).
         ``injector`` is the chaos hook (no-op by default) consulted at
@@ -112,23 +115,18 @@ class HotSwapRuntime:
         # know whether its engines support SaxPacEngine.rebuild.
         self._incremental = builder is None
         self._builder = builder or self._default_builder
-        if isinstance(source, DynamicSaxPac):
-            self._dyn = source
-        elif isinstance(source, Classifier):
-            self._dyn = DynamicSaxPac(
-                source.schema,
-                max_group_fields=self.config.max_group_fields,
-                max_groups=self.config.max_groups,
-                fp_budget=self.config.fp_budget,
-                default_action=source.catch_all.action,
-            )
-            for rule in source.body:
-                self._dyn.insert(rule)
-        else:
+        if not isinstance(source, Classifier):
             raise TypeError(
-                "source must be a Classifier or DynamicSaxPac, "
-                f"not {type(source).__name__}"
+                f"source must be a Classifier, not {type(source).__name__}"
             )
+        self.schema = source.schema
+        self.default_action = source.catch_all.action
+        #: The rule table: id -> rule, insertion order = priority order.
+        self._rules: Dict[int, Rule] = dict(enumerate(source.body))
+        self._next_id = len(self._rules)
+        # Guards the table against concurrent writers and the background
+        # rebuild's snapshot.
+        self._table_lock = threading.Lock()
         self.update_log: List[UpdateRecord] = []
         self.generation = 0
         self._lock = threading.Lock()  # writer-side only
@@ -158,8 +156,15 @@ class HotSwapRuntime:
         return isinstance(self._engine, LinearFallback)
 
     def snapshot_classifier(self) -> Classifier:
-        """Priority-ordered static snapshot of the dynamic state."""
-        return self._dyn.to_classifier()
+        """Priority-ordered static snapshot of the rule table."""
+        with self._table_lock:
+            rules = tuple(self._rules.values())
+        return Classifier(
+            self.schema,
+            rules,
+            ensure_catch_all=True,
+            default_action=self.default_action,
+        )
 
     def serving_classifier(self) -> Classifier:
         """The classifier the *serving* engine answers for.  Equal to
@@ -250,7 +255,7 @@ class HotSwapRuntime:
             recorder.observe("swap.rebuild", time.perf_counter() - start)
 
     def rebuild(self, wait: bool = True) -> None:
-        """Rebuild from the current dynamic state and swap the result in.
+        """Rebuild from the current rule table and swap the result in.
 
         ``wait=False`` (or ``background=True`` construction) runs the
         rebuild in a daemon thread; concurrent requests coalesce into one
@@ -306,27 +311,70 @@ class HotSwapRuntime:
         )
         self.recorder.incr(f"swap.{kind}s")
 
+    def _check_arity(self, rule: Rule) -> None:
+        if rule.num_fields != len(self.schema):
+            raise ValueError(
+                f"rule has {rule.num_fields} fields, schema expects "
+                f"{len(self.schema)}"
+            )
+
+    def _report(self, rule_id: int, rule: Rule, position: int) -> InsertReport:
+        """The report of a write that put ``rule`` at body index
+        ``position`` of the table's snapshot (see :meth:`insert`)."""
+        engine = self._engine
+        outcome = InsertOutcome.ORDER_DEPENDENT
+        if isinstance(engine, SaxPacEngine):
+            body = engine.classifier.body
+            if position < len(body) and body[position] is rule:
+                _, d_indices = engine.decomposition()
+                at = bisect.bisect_left(d_indices, position)
+                if at == len(d_indices) or d_indices[at] != position:
+                    outcome = InsertOutcome.GROUP
+        return InsertReport(outcome, rule_id)
+
     def insert(self, rule: Rule) -> InsertReport:
-        """Insert a rule; the change serves after the next swap."""
-        report = self._dyn.insert(rule)
-        if report.accepted:
-            self._log("insert", report.rule_id, rule)
-            self.rebuild(wait=not self.background)
-        return report
+        """Append a rule at the lowest priority (above the catch-all)
+        under the next id; the change serves after the next swap.
+
+        The report is always accepted and carries the rule's id.  Its
+        outcome is read from the engine serving when the call returns:
+        ``GROUP`` when one of its groups holds the rule, else
+        ``ORDER_DEPENDENT``.  A rule that engine does not hold yet (a
+        background rebuild still pending, a quarantined build) or serves
+        by linear scan (the fallback) reports ``ORDER_DEPENDENT``.
+        ``ValueError`` for a rule of the wrong arity (no id is used)."""
+        self._check_arity(rule)
+        with self._table_lock:
+            rule_id = self._next_id
+            self._next_id += 1
+            self._rules[rule_id] = rule
+            position = len(self._rules) - 1
+        self._log("insert", rule_id, rule)
+        self.rebuild(wait=not self.background)
+        return self._report(rule_id, rule, position)
 
     def remove(self, rule_id: int) -> None:
-        """Remove a rule by id; the change serves after the next swap."""
-        self._dyn.remove(rule_id)
+        """Remove a rule by id (``KeyError`` for an unknown id); the
+        change serves after the next swap."""
+        with self._table_lock:
+            if rule_id not in self._rules:
+                raise KeyError(f"unknown rule id {rule_id}")
+            del self._rules[rule_id]
         self._log("remove", rule_id, None)
         self.rebuild(wait=not self.background)
 
     def modify(self, rule_id: int, new_rule: Rule) -> InsertReport:
-        """Replace a rule in place (same id and priority)."""
-        report = self._dyn.modify(rule_id, new_rule)
-        if report.accepted:
-            self._log("modify", rule_id, new_rule)
-            self.rebuild(wait=not self.background)
-        return report
+        """Replace a rule in place (same id and priority); ``KeyError``
+        for an unknown id.  Reports like :meth:`insert`."""
+        with self._table_lock:
+            if rule_id not in self._rules:
+                raise KeyError(f"unknown rule id {rule_id}")
+            self._check_arity(new_rule)
+            self._rules[rule_id] = new_rule
+            position = list(self._rules).index(rule_id)
+        self._log("modify", rule_id, new_rule)
+        self.rebuild(wait=not self.background)
+        return self._report(rule_id, new_rule, position)
 
     # ------------------------------------------------------------------
     # Classification (reader side)
@@ -346,4 +394,4 @@ class HotSwapRuntime:
         return [result.action for result in self.match_batch(headers)]
 
     def __len__(self) -> int:
-        return len(self._dyn)
+        return len(self._rules)

@@ -35,9 +35,6 @@ class EngineConfig:
         Groups smaller than this are folded into the TCAM part D — the
         paper's observation that many tiny groups come from general rules
         at the bottom of the list (Example 5).
-    fp_budget:
-        C — maximal number of false-positive checks per matched rule at
-        line rate (Section 7.2); used by dynamic updates.
     enforce_cache:
         Apply (β,l)-MRCC so an I-match preempts the D lookup (Section 4.3).
     d_capacity:
@@ -50,7 +47,6 @@ class EngineConfig:
     max_group_fields: int = 2
     max_groups: Optional[int] = None
     min_group_size: int = 1
-    fp_budget: int = 1
     enforce_cache: bool = False
     d_capacity: Optional[int] = None
     use_cascading: bool = False
@@ -62,8 +58,6 @@ class EngineConfig:
             raise ValueError("max_groups must be >= 1")
         if self.min_group_size < 1:
             raise ValueError("min_group_size must be >= 1")
-        if self.fp_budget < 1:
-            raise ValueError("fp_budget must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -268,6 +268,13 @@ class SaxPacEngine:
     #: rebuild stops paying off and :meth:`rebuild` compiles from scratch.
     STALENESS_LIMIT = 0.25
 
+    #: Delta groups of fewer rules go to D.  Every group costs a probe of
+    #: each batch whatever its size, while a D rule costs one more bit in
+    #: D's per-field bitsets: on acl-5k (2-vCPU host) a one-rule group
+    #: added ~75 µs to a 512-packet batch and a D rule ~1 µs, so one-rule
+    #: groups from hot inserts made reads ~19x slower after 180 inserts.
+    DELTA_MIN_GROUP_SIZE = 16
+
     def rebuild(self, new_classifier: Classifier) -> "SaxPacEngine":
         """A new engine for ``new_classifier``, reusing this engine's
         structures where the rule set did not change.
@@ -280,8 +287,9 @@ class SaxPacEngine:
         removed rules tombstone their slots (sound because members are
         pairwise disjoint on the group fields); added rules are grouped
         among themselves with the same l-MGR admission and become new
-        groups (or spill to D).  D re-encodes through a ternary-pattern
-        cache so only rules new to D pay range expansion.
+        groups, or go to D when ungrouped or in a group of fewer than
+        :data:`DELTA_MIN_GROUP_SIZE` rules.  D re-encodes through a
+        ternary-pattern cache so only rules new to D pay range expansion.
 
         The serving engine is never mutated — shared structures are reused
         read-only, so an RCU-style swap can retire it safely.  Falls back
@@ -294,6 +302,10 @@ class SaxPacEngine:
         stages: List[Tuple[str, float]] = []
         with self._stage("diff", stages):
             plan = self._diff(new_classifier)
+            if plan is not None:
+                # Carried rows come from this engine's bounds matrix;
+                # only the added rules are derived.
+                new_classifier.carry_bounds(self.classifier, plan[0])
         if plan is None:
             return SaxPacEngine(
                 new_classifier, cfg, self.encoder, self.recorder,
@@ -324,8 +336,9 @@ class SaxPacEngine:
                 else:
                     delta = l_mgr(new_classifier, l, rule_subset=added)
                 spill.update(delta.ungrouped)
+                min_size = max(cfg.min_group_size, self.DELTA_MIN_GROUP_SIZE)
                 for group in delta.groups:
-                    if group.size < cfg.min_group_size:
+                    if group.size < min_size:
                         spill.update(group.rule_indices)
                     else:
                         delta_groups.append(group)

@@ -24,7 +24,7 @@ from repro.analysis.mrc import (
     _greedy_independent_scan,
     greedy_independent_set,
 )
-from repro.core import Classifier
+from repro.core import Classifier, make_rule, uniform_schema
 from repro.saxpac.config import EngineConfig
 from repro.saxpac.engine import SaxPacEngine
 from repro.workloads.generator import generate_classifier
@@ -203,6 +203,50 @@ class TestIncrementalRebuild:
         want = [m.index for m in classifier.match_batch(headers)]
         assert got == want
 
+    def test_rebuild_carries_bounds_matrix(self):
+        """After inserts, removes and a modify, the bounds matrix an
+        incremental rebuild carries equals a from-scratch derivation."""
+        from repro.runtime.swap import HotSwapRuntime
+
+        classifier = generate_classifier("acl", 400, 21)
+        runtime = HotSwapRuntime(classifier)
+        donor = generate_classifier("acl", 16, 22)
+        ids = [runtime.insert(rule).rule_id for rule in donor.body[:4]]
+        runtime.remove(0)
+        runtime.remove(ids[1])
+        runtime.modify(5, donor.body[5])
+        engine = runtime.engine
+        assert engine.build_incremental
+        served = engine.classifier
+        fresh = Classifier(served.schema, served.body).bounds_arrays()
+        for got, want in zip(served.bounds_arrays(), fresh):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("width", [16, 64])
+    def test_carry_bounds_matches_derivation(self, width):
+        top = (1 << width) - 1
+        schema = uniform_schema(2, width)
+        old_rules = [
+            make_rule([(i, i + 3), (top - i - 9, top - i)]) for i in range(8)
+        ]
+        added = [make_rule([(top - 5, top), (0, 1)])]
+        previous = Classifier(schema, old_rules)
+        # Drop rule 2, move rule 0 to the end and add one rule.
+        body = old_rules[1:2] + old_rules[3:] + added + old_rules[:1]
+        current = Classifier(schema, body)
+        mapping = np.full(len(old_rules), -1, dtype=np.int64)
+        for j, rule in enumerate(body):
+            for i, old in enumerate(old_rules):
+                if old is rule:
+                    mapping[i] = j
+        current.carry_bounds(previous, mapping)
+        fresh = Classifier(schema, body).bounds_arrays()
+        for got, want in zip(current.bounds_arrays(), fresh):
+            assert got.dtype == want.dtype
+            assert not got.flags.writeable
+            np.testing.assert_array_equal(got, want)
+
     def test_chained_rebuilds_stay_equivalent(self):
         classifier = generate_classifier("acl", 900, 13)
         engine = SaxPacEngine(classifier)
@@ -224,6 +268,31 @@ class TestIncrementalRebuild:
             got = [m.index for m in engine.match_batch(headers)]
             want = [m.index for m in current.match_batch(headers)]
             assert got == want
+
+    def test_small_delta_groups_spill_to_d(self):
+        """Hot inserts one at a time leave the group count alone: each
+        one-rule delta group goes to D instead of costing every batch a
+        probe."""
+        classifier = generate_classifier("acl", 1000, 31)
+        engine = SaxPacEngine(classifier)
+        groups = len(engine.decomposition()[0])
+        donor = generate_classifier("acl", 40, 32)
+        current = classifier
+        for rule in donor.body[:20]:
+            current = Classifier(current.schema, list(current.body) + [rule])
+            engine = engine.rebuild(current)
+            assert engine.build_incremental
+            assert len(current.body) - 1 in engine.decomposition()[1]
+        assert len(engine.decomposition()[0]) == groups
+        headers = np.stack(
+            [
+                np.random.default_rng(5).integers(0, 1 << w, size=400)
+                for w in current.schema.widths
+            ],
+            axis=1,
+        ).tolist()
+        got = [m.index for m in engine.match_batch(headers)]
+        assert got == [m.index for m in current.match_batch(headers)]
 
     def test_large_churn_falls_back_to_full_build(self):
         classifier = generate_classifier("acl", 300, 5)

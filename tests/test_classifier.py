@@ -6,6 +6,7 @@ import pytest
 from repro.core import (
     Classifier,
     DENY,
+    FieldSchema,
     FieldSpec,
     Interval,
     PERMIT,
@@ -38,6 +39,10 @@ class TestConstruction:
         schema = uniform_schema(2, 4)
         with pytest.raises(ValueError):
             Classifier(schema, [make_rule([(1, 2), (3, 16)])])
+        # The error names the field the interval overflows.
+        mixed = FieldSchema.of([FieldSpec("wide", 8), FieldSpec("narrow", 4)])
+        with pytest.raises(ValueError, match="'narrow'"):
+            Classifier(mixed, [make_rule([(3, 16), (3, 16)])])
 
     def test_body_excludes_catch_all(self):
         schema = uniform_schema(1, 4)

@@ -153,5 +153,3 @@ class TestConfigValidation:
             EngineConfig(max_groups=0)
         with pytest.raises(ValueError):
             EngineConfig(min_group_size=0)
-        with pytest.raises(ValueError):
-            EngineConfig(fp_budget=0)
