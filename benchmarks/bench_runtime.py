@@ -32,6 +32,14 @@ fewer than 2 CPUs (recorded in the JSON as ``cpu_count``) — a 1-core
 container cannot exceed the single-core compute bound no matter how good
 the transport is.
 
+``--gate-first-read-ratio R`` fails the run unless the median first
+read after a burst of writes costs at most R x a median read.  The
+``churn`` row runs ``RuntimeService`` with ``--shards`` shm workers
+through cycles of ``CHURN_BURST`` seeded inserts/removes followed by
+``CHURN_READS`` batches; a hot swap ships each incremental rebuild to
+the workers as a delta, so the first read after a burst should cost
+about what any read does.  A ratio, so runner speed cancels out.
+
 ``--seed`` controls classifier, trace and sampling RNGs; identical seeds
 give identical workloads run-to-run.
 """
@@ -41,6 +49,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
+import statistics
 import sys
 import time
 from typing import List, Optional, Sequence
@@ -52,7 +62,8 @@ if __package__ in (None, ""):  # script invocation: put src/ on the path
 
 import numpy as np
 
-from repro.runtime.batch import iter_batches
+from repro.runtime.batch import iter_batches, linear_match_indices
+from repro.runtime.service import RuntimeConfig, RuntimeService
 from repro.runtime.shard import ShardedRuntime
 from repro.saxpac.engine import SaxPacEngine
 from repro.workloads.generator import STYLES, generate_classifier
@@ -97,6 +108,75 @@ def _measure_sharded(
     result = _rates(len(block), seconds)
     result.update(batch_size=batch_size, shards=shards)
     return result
+
+
+#: Churn row: writes per burst, reads after each burst, bursts.
+CHURN_BURST = 10
+CHURN_READS = 8
+CHURN_CYCLES = 30
+
+
+def _measure_churn(
+    classifier, style: str, block: np.ndarray, batch_size: int,
+    shards: int, seed: int,
+) -> dict:
+    """Bursts of seeded inserts/removes, each followed by reads through a
+    sharded ``RuntimeService``: median write, first read after a burst
+    and other reads.  Every first read is checked against the linear
+    reference of the classifier served at that moment."""
+    fresh = list(
+        generate_classifier(style, CHURN_BURST * CHURN_CYCLES, seed + 2).body
+    )
+    rng = random.Random(seed + 3)
+    batches = list(iter_batches(block, batch_size))
+    service = RuntimeService(
+        classifier, RuntimeConfig(num_shards=shards, shard_mode="shm")
+    )
+    try:
+        service.match_indices(batches[0])
+        live = list(range(len(classifier.body)))
+        writes, firsts, reads = [], [], []
+        for cycle in range(CHURN_CYCLES):
+            for _ in range(CHURN_BURST):
+                start = time.perf_counter()
+                if rng.random() < 0.5 or not live:
+                    live.append(service.insert(fresh.pop()).rule_id)
+                else:
+                    service.remove(live.pop(rng.randrange(len(live))))
+                writes.append(time.perf_counter() - start)
+            for i in range(CHURN_READS):
+                batch = batches[(cycle * CHURN_READS + i) % len(batches)]
+                served = service.serving_classifier()
+                start = time.perf_counter()
+                got = service.match_indices(batch)
+                elapsed = time.perf_counter() - start
+                if i:
+                    reads.append(elapsed)
+                    continue
+                firsts.append(elapsed)
+                want = linear_match_indices(served, batch)
+                if not np.array_equal(np.asarray(got), want):
+                    raise AssertionError(
+                        f"churn mismatch after burst {cycle}"
+                    )
+        counters = service.snapshot()
+        ships = {
+            kind: counters.counter(f"runtime.{kind}")
+            for kind in ("delta_ships", "snapshot_ships")
+        }
+    finally:
+        service.close()
+    read = statistics.median(reads)
+    first = statistics.median(firsts)
+    return {
+        "shards": shards,
+        "writes": len(writes),
+        "write_ms": round(statistics.median(writes) * 1e3, 3),
+        "first_read_ms": round(first * 1e3, 3),
+        "read_ms": round(read * 1e3, 3),
+        "first_read_ratio": round(first / read, 3),
+        **ships,
+    }
 
 
 def _rates(packets: int, seconds: float) -> dict:
@@ -165,6 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="R",
                         help="fail unless shm >= R x batched throughput "
                              "(auto-skipped on hosts with < 2 CPUs)")
+    parser.add_argument("--gate-first-read-ratio", type=float, default=None,
+                        help="fail unless the median first read after a "
+                             "write burst costs <= R x a median read "
+                             "(the churn row)")
     parser.add_argument("--out", default="BENCH_runtime.json")
     return parser
 
@@ -199,6 +283,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         if workers <= args.shards
     ]
     sharded = scaling[-1]
+    churn = _measure_churn(
+        classifier, args.style, block, args.batch_size, args.shards,
+        args.seed,
+    )
     single_pps = single["packets_per_second"]
     batched_pps = batched["packets_per_second"]
     shm_pps = sharded["packets_per_second"]
@@ -227,6 +315,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "batched": batched,
         "sharded": sharded,
         "shm_scaling": scaling,
+        "churn": churn,
         "speedup_batched_vs_single": round(batched_pps / single_pps, 2),
         "speedup_sharded_vs_single": round(shm_pps / single_pps, 2),
         "speedup_shm_vs_batched": round(shm_pps / batched_pps, 2),
@@ -244,6 +333,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     for row in scaling:
         print(f"  shm x{row['shards']}: "
               f"{row['packets_per_second']:>10,.0f} pkt/s")
+    print(f"  churn x{churn['shards']}: write {churn['write_ms']:.2f} ms, "
+          f"first read {churn['first_read_ms']:.2f} ms vs read "
+          f"{churn['read_ms']:.2f} ms ({churn['first_read_ratio']:.2f}x, "
+          f"{churn['delta_ships']:.0f} delta / "
+          f"{churn['snapshot_ships']:.0f} snapshot ships)")
     print(f"wrote {args.out}")
     failed = False
     if args.gate_batched_ratio is not None:
@@ -268,6 +362,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             print(f"shm gate ok: shm/batched = {ratio:.2f} >= "
                   f"{args.gate_shm_ratio:.2f}")
+    if args.gate_first_read_ratio is not None:
+        ratio = churn["first_read_ratio"]
+        verdict = "ok" if ratio <= args.gate_first_read_ratio else "FAILED"
+        print(f"first-read gate {verdict}: first read / read = {ratio:.2f} "
+              f"{'<=' if verdict == 'ok' else '>'} "
+              f"{args.gate_first_read_ratio:.2f}")
+        failed = failed or verdict != "ok"
     return 1 if failed else 0
 
 

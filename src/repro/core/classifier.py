@@ -25,6 +25,39 @@ from .rule import Rule, catch_all_rule
 __all__ = ["Classifier", "MatchResult"]
 
 
+def splice_rows(
+    rows: np.ndarray,
+    removed: Sequence[int],
+    added: Sequence[int],
+    new_rows: np.ndarray,
+) -> np.ndarray:
+    """``rows`` without the rows at ``removed`` and with ``new_rows``
+    at positions ``added`` of the result (both ascending): one slice
+    copy per run of carried rows, so the Python work is O(changes)."""
+    removed = list(removed)
+    added = list(added)
+    size = len(rows) - len(removed) + len(added)
+    out = np.empty((size,) + rows.shape[1:], dtype=rows.dtype)
+    src = dst = r = a = 0
+    while dst < size:
+        if a < len(added) and added[a] == dst:
+            out[dst] = new_rows[a]
+            a += 1
+            dst += 1
+        elif r < len(removed) and removed[r] == src:
+            r += 1
+            src += 1
+        else:
+            run = min(
+                (removed[r] if r < len(removed) else len(rows)) - src,
+                (added[a] if a < len(added) else size) - dst,
+            )
+            out[dst : dst + run] = rows[src : src + run]
+            src += run
+            dst += run
+    return out
+
+
 @dataclass(frozen=True)
 class MatchResult:
     """Outcome of classifying one header: the winning rule and its priority
@@ -56,28 +89,131 @@ class Classifier:
     ) -> None:
         self.schema = schema
         rule_list = list(rules)
+        Classifier.check_rules(schema, rule_list)
+        if ensure_catch_all:
+            if not rule_list or not rule_list[-1].is_catch_all(schema):
+                rule_list.append(catch_all_rule(schema, default_action))
+        self._rules: Optional[Tuple[Rule, ...]] = tuple(rule_list)
+        #: Set once a :meth:`successor` took this classifier's rules
+        #: over: ``(successor, removed, added, removed rules)``, enough
+        #: to derive :attr:`rules` back from the successor's.
+        self._later = None
+        self._bounds: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._results: Optional[Tuple[MatchResult, ...]] = None
+
+    @property
+    def rules(self) -> Tuple[Rule, ...]:
+        """The rules in priority order, the catch-all last."""
+        rules = self._rules
+        if rules is None:
+            rules = self._derive_rules()
+        return rules
+
+    def _derive_rules(self) -> Tuple[Rule, ...]:
+        """Rebuild :attr:`rules` of a classifier whose successor took them
+        over: walk to the nearest later version that holds its rules,
+        then undo each successor step back to this one."""
+        undo = []
+        version = self
+        while True:
+            rules = version._rules
+            if rules is not None:
+                break
+            undo.append(version)
+            version = version._later[0]
+        for version in reversed(undo):
+            _, removed, added, removed_rules = version._later
+            body = list(rules)
+            catch_all = body.pop()
+            for j in reversed(added):
+                del body[j]
+            for i, rule in zip(removed, removed_rules):
+                body.insert(i, rule)
+            body.append(catch_all)
+            rules = version._rules = tuple(body)
+        return rules
+
+    @staticmethod
+    def check_rules(
+        schema: FieldSchema,
+        rules: Sequence[Rule],
+        indices: Optional[Sequence[int]] = None,
+    ) -> None:
+        """Raise ``ValueError`` unless every rule has one interval per
+        schema field, each within its field's width.  Errors name a rule
+        by its position in ``rules``, or by ``indices[i]`` when given."""
         k = len(schema)
         limits = [spec.max_value for spec in schema]
-        for i, rule in enumerate(rule_list):
+        for i, rule in enumerate(rules):
             intervals = rule.intervals
+            label = i if indices is None else indices[i]
             if len(intervals) != k:
                 raise ValueError(
-                    f"rule {i} has {len(intervals)} fields, "
+                    f"rule {label} has {len(intervals)} fields, "
                     f"schema expects {k}"
                 )
             for f, limit in enumerate(limits):
                 if intervals[f].high > limit:
                     spec = schema[f]
                     raise ValueError(
-                        f"rule {i}: interval {intervals[f]} exceeds field "
-                        f"{spec.name!r} ({spec.width} bits)"
+                        f"rule {label}: interval {intervals[f]} exceeds "
+                        f"field {spec.name!r} ({spec.width} bits)"
                     )
-        if ensure_catch_all:
-            if not rule_list or not rule_list[-1].is_catch_all(schema):
-                rule_list.append(catch_all_rule(schema, default_action))
-        self.rules: Tuple[Rule, ...] = tuple(rule_list)
-        self._bounds: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._results: Optional[Tuple[MatchResult, ...]] = None
+
+    @classmethod
+    def from_checked(
+        cls, schema: FieldSchema, rules: Sequence[Rule]
+    ) -> "Classifier":
+        """A classifier over ``rules`` as given (the last one serving as
+        the catch-all), skipping :meth:`check_rules`: for rule lists
+        already validated against ``schema``, such as a rule table that
+        checks each rule as it enters."""
+        self = cls.__new__(cls)
+        self.schema = schema
+        self._rules = tuple(rules)
+        self._later = None
+        self._bounds = None
+        self._results = None
+        return self
+
+    def successor(
+        self,
+        removed: Sequence[int],
+        added: Sequence[int],
+        rules: Sequence[Rule],
+    ) -> "Classifier":
+        """This classifier with the body rules at ``removed`` dropped and
+        ``rules`` placed at body positions ``added`` of the result (both
+        ascending); every other rule keeps its relative order and the
+        catch-all stays.  Costs O(changed) Python work: the carried rules
+        are not re-validated (``rules`` must fit the schema, see
+        :meth:`check_rules`) and the :meth:`bounds_arrays` rows are
+        carried, deriving only the added ones.
+
+        The successor takes the rule tuple and the bounds cache over:
+        this classifier keeps only the removed rules and the positions,
+        and derives both again if asked, so a chain of versions that
+        something else keeps alive (a reader, a log of served snapshots)
+        holds one full copy, not one per version."""
+        body = list(self.rules)
+        catch_all = body.pop()
+        removed_rules = tuple(body[i] for i in removed)
+        for i in reversed(removed):
+            del body[i]
+        for j, rule in zip(added, rules):
+            body.insert(j, rule)
+        body.append(catch_all)
+        new = Classifier.from_checked(self.schema, body)
+        lows, highs = self.bounds_arrays()
+        add_lows, add_highs = new._rule_bounds(rules)
+        new._set_bounds(
+            splice_rows(lows, removed, added, add_lows),
+            splice_rows(highs, removed, added, add_highs),
+        )
+        self._later = (new, tuple(removed), tuple(added), removed_rules)
+        self._rules = None
+        self._bounds = None
+        return new
 
     # ------------------------------------------------------------------
     # Container protocol
@@ -207,37 +343,12 @@ class Classifier:
         rules.  int64 normally; Python-object arrays when any field is too
         wide for int64 (e.g. 128-bit IPv6 prefixes).  Cached; treat as
         read-only."""
-        if self._bounds is None:
-            self._set_bounds(*self._rule_bounds(self.body))
-        return self._bounds
-
-    def carry_bounds(
-        self, previous: "Classifier", previous_to_self: np.ndarray
-    ) -> None:
-        """Seed the :meth:`bounds_arrays` cache from ``previous``'s, for a
-        classifier that shares most of its rules with it:
-        ``previous_to_self[i]`` is this classifier's body index of
-        ``previous``'s body rule ``i`` (-1 when it is gone).  Rows no
-        previous rule maps to are derived from their rules.  A schema
-        mismatch or an already cached matrix leaves the cache alone."""
-        if self._bounds is not None or previous.schema != self.schema:
-            return
-        old_lows, old_highs = previous.bounds_arrays()
-        mapping = np.asarray(previous_to_self)[: len(previous.body)]
-        src = np.flatnonzero(mapping >= 0)
-        dst = mapping[src]
-        shape = (len(self.body), self.num_fields)
-        lows = np.empty(shape, dtype=old_lows.dtype)
-        highs = np.empty(shape, dtype=old_highs.dtype)
-        lows[dst] = old_lows[src]
-        highs[dst] = old_highs[src]
-        rows = np.setdiff1d(np.arange(shape[0]), dst)
-        if rows.size:
-            body = self.body
-            lows[rows], highs[rows] = self._rule_bounds(
-                [body[j] for j in rows.tolist()]
-            )
-        self._set_bounds(lows, highs)
+        # One read of the cache: a successor may drop it concurrently.
+        bounds = self._bounds
+        if bounds is None:
+            bounds = self._rule_bounds(self.body)
+            self._set_bounds(*bounds)
+        return bounds
 
     def _rule_bounds(
         self, rules: Sequence[Rule]

@@ -419,7 +419,7 @@ class MultiGroupEngine:
         # Groups hold disjoint rule sets and a lower index has priority:
         # the answer is the per-header minimum over verified candidates.
         # A miss above every body index (the catch-all) fills directly.
-        fill = miss if miss >= len(self.classifier.body) else _NONE
+        fill = miss if miss >= len(self.classifier.rules) - 1 else _NONE
         merged = np.full(num_groups * n, fill)
         verified = np.zeros(0, dtype=bool)
         if flat.size:

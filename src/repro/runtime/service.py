@@ -176,8 +176,9 @@ class RuntimeService:
             self.injector.tracer = self.telemetry.tracer
         self.shards: Optional[ShardedRuntime] = None
         if self.config.num_shards > 1:
-            # shm workers read the swap engine per batch, so hot swaps
-            # ship as one columnar snapshot instead of a pool rebuild.
+            # shm workers follow the swap engine: each hot swap ships its
+            # delta (a full snapshot only for a new lineage) as soon as
+            # it swaps in, instead of a pool rebuild.
             self.shards = ShardedRuntime(
                 engine_source=lambda: self.swap.engine,
                 num_shards=self.config.num_shards,
@@ -188,6 +189,7 @@ class RuntimeService:
                 injector=self.injector,
                 health=self.health,
             )
+            self.swap.on_swap = lambda engine: self.shards.sync()
         self._inflight = 0
         self._inflight_lock = threading.Lock()
         self._fallback_probe_counter = 0

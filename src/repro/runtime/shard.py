@@ -48,6 +48,7 @@ under the caller's batch span.
 from __future__ import annotations
 
 import os
+import threading
 import time
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -106,11 +107,11 @@ class ShardedRuntime:
     * ``ShardedRuntime(classifier=k, config=cfg)`` — the workers build
       their engines from a columnar snapshot of ``k``;
     * ``ShardedRuntime(engine_source=lambda: runtime.engine)`` — the
-      workers start from the source engine's decomposition, and the
-      runtime re-reads the source per batch: when its classifier changed
-      it ships one snapshot to the workers
-      (:meth:`~repro.runtime.shm.ShmWorkerPool.ship_swap`), so hot swaps
-      work without rebuilding the pool.  This is the hook
+      workers start from the source engine's decomposition, and
+      :meth:`sync` re-reads the source per batch: when the engine
+      changed it ships the deltas of its incremental rebuilds, or one
+      full snapshot when it does not descend from the workers' engine,
+      so hot swaps work without rebuilding the pool.  This is the hook
       :class:`~repro.runtime.service.RuntimeService` uses.
 
     ``mode`` accepts only ``"shm"``; it stays for callers that name the
@@ -189,7 +190,9 @@ class ShardedRuntime:
                 config = getattr(source_engine, "config", None)
         self.classifier = classifier
         self._shm_config = config or EngineConfig()
-        self._shipped_classifier = classifier
+        #: The engine the workers hold (None for a classifier pool).
+        self._shipped_engine = source_engine
+        self._sync_lock = threading.Lock()
         self._shipped_plan = getattr(self.injector, "plan", None)
         self._shm_pool = ShmWorkerPool(
             classifier,
@@ -213,6 +216,43 @@ class ShardedRuntime:
         tracer = self.recorder.tracer
         if tracer is not None:
             tracer.event("shard.respawn")
+
+    def sync(self) -> None:
+        """Bring the workers up to the source engine.  When it descends
+        from the engine they hold (same lineage, later step), the deltas
+        they lack ship as one control message, which each worker applies
+        as one composed rebuild (``runtime.delta_ships``); otherwise — a
+        from-scratch rebuild, a linear fallback — one full snapshot does
+        (``runtime.snapshot_ships``).
+
+        Runs before every batch.  :class:`~repro.runtime.service
+        .RuntimeService` also runs it on every hot swap, so the workers
+        apply each delta while the writer moves on; a worker that falls
+        behind folds the delta messages queued for it into one rebuild."""
+        if self._source is None:
+            return
+        with self._sync_lock:
+            pool = self._shm_pool
+            engine = self._source()
+            if pool is None or engine is self._shipped_engine:
+                return
+            held = getattr(self._shipped_engine, "lineage", None)
+            lineage = getattr(engine, "lineage", None)
+            if (
+                held is not None
+                and lineage is not None
+                and lineage[0] == held[0]
+                and lineage[1] >= held[1]
+            ):
+                missing = engine.deltas[held[1]:]
+                if missing:
+                    pool.ship_deltas(missing, engine)
+                    self.recorder.incr("runtime.delta_ships")
+            else:
+                pool.ship_swap(engine.classifier, self._shm_config, engine)
+                self.recorder.incr("runtime.snapshot_ships")
+            self._shipped_engine = engine
+            self.classifier = engine.classifier
 
     # ------------------------------------------------------------------
     # Classification
@@ -282,17 +322,7 @@ class ShardedRuntime:
         if not len(headers):
             return np.empty(0, dtype=np.int64)
         pool = self._shm_pool
-        if self._source is not None:
-            # Hot-swap detection: ship one columnar snapshot (with the
-            # engine's decomposition) when the source engine's rule set
-            # changed since the last batch.
-            engine = self._source()
-            current = engine.classifier
-            if current is not self._shipped_classifier:
-                pool.ship_swap(current, self._shm_config, engine)
-                self._shipped_classifier = current
-                self.classifier = current
-                self.recorder.incr("runtime.snapshot_ships")
+        self.sync()
         injector = self.injector
         if injector.enabled and injector.plan is not self._shipped_plan:
             # The workers look up the specs the fault words name.

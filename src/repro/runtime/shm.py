@@ -16,12 +16,18 @@ the update/data-path split RVH (arXiv 1909.07159) argues for:
   place** through a ``np.frombuffer`` view and writes bare rule indices
   into the slot's result slab; completion is the done sequence counter
   catching up — no pickled return values anywhere on the hot path;
-* engine snapshots ship **once per hot swap** through a per-worker
-  control pipe, packed by :func:`pack_snapshot` into the columnar
-  ``(N, k)`` bounds form (the PR-3 rule store layout) instead of 10k
-  pickled ``Rule`` objects; slots are generation-stamped so chunks
-  submitted against the old snapshot are still answered by the old
-  engine;
+* a hot swap ships through a per-worker control pipe as the
+  incremental rebuild's **deltas** (:func:`pack_delta`: changed
+  positions, the added rules as columns, their placement), which each
+  worker applies to its own engine with
+  :meth:`~repro.saxpac.engine.SaxPacEngine.apply`.  Only a spawn, a
+  respawn, a new lineage (a from-scratch rebuild) or an engine without a
+  decomposition ships a full snapshot, packed by :func:`pack_snapshot`
+  into the columnar ``(N, k)`` bounds form instead of 10k pickled
+  ``Rule`` objects.  One sender thread per pool writes the pipes in
+  FIFO order, so a caller never waits on a sleeping worker to drain a
+  large message.  Slots are generation-stamped so chunks submitted
+  against the old engine are still answered by it;
 * trace context crosses the boundary as two bare int64 control words
   (:class:`~repro.obs.tracing.SpanContext` is two ints), and telemetry
   deltas ride a status queue only when observability is enabled.
@@ -68,7 +74,9 @@ plan ships like a swap, as a generation-stamped control message.
 from __future__ import annotations
 
 import os
+import queue
 import stat
+import threading
 import time
 import traceback
 from multiprocessing import get_context
@@ -88,8 +96,10 @@ __all__ = [
     "ShmRing",
     "ShmWorkerPool",
     "check_shm_schema",
+    "pack_delta",
     "pack_snapshot",
     "unpack_decomposition",
+    "unpack_delta",
     "unpack_snapshot",
 ]
 
@@ -113,7 +123,7 @@ STATUS_RECLAIMED = 2
 #: (distinguishable in logs from real faults, which exit negative).
 CRASH_EXIT_CODE = 17
 
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 #: How long an idle worker sleeps on its work bell before re-checking
 #: its control pipe (bounds how long it outlives a vanished dispatcher).
@@ -180,17 +190,75 @@ def pack_snapshot(
         ],
         "lows": np.ascontiguousarray(all_lo).tobytes(),
         "highs": np.ascontiguousarray(all_hi).tobytes(),
+        **_rule_columns(rules),
+        "config": config,
+        "decomposition": _pack_decomposition(engine),
+        "lineage": getattr(engine, "lineage", None),
+    }
+
+
+def _rule_columns(rules) -> Dict[str, object]:
+    """The action and name columns of ``rules``."""
+    return {
         "actions": [
             (rule.action.kind.value, rule.action.payload) for rule in rules
         ],
         "names": {
-            i: rule.name
-            for i, rule in enumerate(rules)
-            if rule.name is not None
+            i: rule.name for i, rule in enumerate(rules) if rule.name is not None
         },
-        "config": config,
-        "decomposition": _pack_decomposition(engine),
     }
+
+
+def _int64_bytes(values) -> bytes:
+    return np.ascontiguousarray(values, dtype=np.int64).tobytes()
+
+
+def _int64s(raw: bytes) -> np.ndarray:
+    return np.frombuffer(raw, dtype=np.int64)
+
+
+def pack_delta(delta, k: int) -> Dict[str, object]:
+    """An :class:`~repro.saxpac.engine.EngineDelta` over a ``k``-field
+    schema in shippable form: positions and the added rules' bounds as
+    int64 bytes, their actions and names as flat columns, the placement
+    as member bytes.  A one-rule delta is a few hundred bytes, against a
+    full snapshot's hundreds of kilobytes."""
+    intervals = [iv for rule in delta.rules for iv in rule.intervals]
+    return {
+        "base": delta.base,
+        "k": k,
+        "removed": _int64_bytes(delta.removed),
+        "added": _int64_bytes(delta.added),
+        "lows": _int64_bytes([iv.low for iv in intervals]),
+        "highs": _int64_bytes([iv.high for iv in intervals]),
+        **_rule_columns(delta.rules),
+        "groups": [
+            (tuple(fields), _int64_bytes(members))
+            for fields, members in delta.groups
+        ],
+        "d": _int64_bytes(delta.d),
+    }
+
+
+def unpack_delta(payload: Dict[str, object]):
+    """Inverse of :func:`pack_delta`."""
+    from ..saxpac.engine import EngineDelta
+
+    k = payload["k"]
+    lows = _int64s(payload["lows"]).reshape(-1, k)
+    highs = _int64s(payload["highs"]).reshape(-1, k)
+    return EngineDelta(
+        base=tuple(payload["base"]),
+        removed=_int64s(payload["removed"]),
+        added=_int64s(payload["added"]),
+        rules=tuple(
+            _column_rules(lows, highs, payload["actions"], payload["names"])
+        ),
+        groups=tuple(
+            (fields, _int64s(members)) for fields, members in payload["groups"]
+        ),
+        d=_int64s(payload["d"]),
+    )
 
 
 def _pack_decomposition(engine) -> Optional[Dict[str, object]]:
@@ -253,7 +321,17 @@ def unpack_snapshot(payload: Dict[str, object]) -> Tuple[Classifier, object]:
             for name, width, kind in payload["schema"]
         )
     )
-    names = payload["names"]
+    rules = _column_rules(lows, highs, payload["actions"], payload["names"])
+    classifier = Classifier(schema, rules, ensure_catch_all=False)
+    # The body rows of the shipped matrices are the classifier's bounds
+    # arrays; seed its cache instead of rebuilding them from the rules.
+    classifier._bounds = (lows[:-1], highs[:-1])
+    return classifier, payload["config"]
+
+
+def _column_rules(lows, highs, actions, names) -> List[Rule]:
+    """Rules from ``(N, k)`` bound columns and action/name columns."""
+    k = lows.shape[1]
     # Rules are immutable, so equal intervals and actions share one
     # object: a rule set repeats most of them (wildcards, port ranges,
     # verbs), and a worker's memory is mostly these objects.
@@ -274,7 +352,7 @@ def unpack_snapshot(payload: Dict[str, object]) -> Tuple[Classifier, object]:
     ]
     verbs: Dict[object, Action] = {}
     rules: List[Rule] = []
-    for i, (kind, action_payload) in enumerate(payload["actions"]):
+    for i, (kind, action_payload) in enumerate(actions):
         try:
             action = verbs.get((kind, action_payload))
         except TypeError:  # unhashable payload: not shared
@@ -290,11 +368,7 @@ def unpack_snapshot(payload: Dict[str, object]) -> Tuple[Classifier, object]:
                 names.get(i),
             )
         )
-    classifier = Classifier(schema, rules, ensure_catch_all=False)
-    # The body rows of the shipped matrices are the classifier's bounds
-    # arrays; seed its cache instead of rebuilding them from the rules.
-    classifier._bounds = (lows[:-1], highs[:-1])
-    return classifier, payload["config"]
+    return rules
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +530,25 @@ def _build_engine(snapshot, recorder):
         return SaxPacEngine(classifier, config, recorder=recorder)
     groups, d_indices = decomposition
     return SaxPacEngine.from_decomposition(
-        classifier, config, groups, d_indices, recorder=recorder
+        classifier, config, groups, d_indices, recorder=recorder,
+        lineage=snapshot["lineage"],
     )
+
+
+def _apply_deltas(engine, packed):
+    """``engine`` with the shipped deltas applied, composed into one
+    apply (a worker that fell behind catches up at the cost of one).
+    The worker drops the engine's record of them: only the parent ships
+    deltas, so a worker needs its engine's lineage position, not the
+    history."""
+    from ..saxpac.engine import compose_deltas
+
+    deltas = [unpack_delta(payload) for payload in packed]
+    engine = engine.apply(
+        compose_deltas(deltas, len(engine.classifier.rules) - 1)
+    )
+    engine.deltas = ()
+    return engine
 
 
 def _shm_worker_main(
@@ -478,8 +569,10 @@ def _shm_worker_main(
     """Worker entry point: serve owned slots in place, sleeping on the
     work bell between rounds.
 
-    ``conn`` receives ``("swap", gen, snapshot)``, ``("plan", gen,
-    plan)`` and ``("stop",)`` control messages; ``status_queue``
+    ``conn`` receives ``("swap", gen, snapshot)``, ``("deltas", gen,
+    (mergeable, [packed deltas]))``, ``("plan", gen, plan)``, ``("inspect", gen,
+    None)`` (report the newest engine's decomposition) and ``("stop",)``
+    control messages; ``status_queue``
     carries readiness, per-slot error tracebacks and (when observability
     is on) telemetry deltas back to the dispatcher; ``bells`` is the
     worker's ``(work, done)`` semaphore pair.  ``plan`` is the fault
@@ -527,27 +620,67 @@ def _shm_worker_loop(
     ring.worker_state[worker_id] = 1
     status_queue.put(("ready", worker_id, generation))
 
-    def apply(msg) -> None:
-        """Apply a swap or plan message; each opens a generation."""
+    def apply(msg) -> bool:
+        """Apply a swap, deltas or plan message; each opens a
+        generation.  False when the engine could not be built: the
+        worker then exits, and the dispatcher respawns it from a full
+        snapshot of the current engine."""
         nonlocal plan
         kind, new_gen, payload = msg
-        if kind == "swap":
-            engines[new_gen] = _build_engine(payload, recorder)
-        else:
-            # A changed fault plan: same engine, new spec table.
-            plan = payload
-            engines[new_gen] = engines[max(engines)]
+        if kind == "inspect":
+            newest = max(engines)
+            status_queue.put(
+                ("decomposition", worker_id, newest,
+                 _pack_decomposition(engines[newest]))
+            )
+            return True
+        try:
+            if kind == "swap":
+                engines[new_gen] = _build_engine(payload, recorder)
+            elif kind == "deltas":
+                engines[new_gen] = _apply_deltas(
+                    engines[max(engines)], payload[1]
+                )
+            else:
+                # A changed fault plan: same engine, new spec table.
+                plan = payload
+                engines[new_gen] = engines[max(engines)]
+        except Exception:
+            status_queue.put(
+                ("build_error", worker_id, traceback.format_exc())
+            )
+            return False
         # Keep the previous generation so in-flight old-snapshot
         # slots are still answered by the engine they were aimed at.
         for stale in sorted(engines)[:-2]:
             del engines[stale]
+        return True
 
-    def control():
-        """The next control message; a closed pipe means stop."""
+    held: List[tuple] = []
+
+    def receive():
         try:
             return conn.recv()
         except (EOFError, OSError):
             return ("stop",)
+
+    def control():
+        """The next control message; a closed pipe means stop.  A deltas
+        message absorbs every mergeable one queued behind it, so a
+        worker that fell behind catches up with one composed rebuild."""
+        msg = held.pop() if held else receive()
+        if msg[0] != "deltas":
+            return msg
+        _, generation, (_, packed) = msg
+        packed = list(packed)
+        while not held and conn.poll():
+            following = receive()
+            if following[0] == "deltas" and following[2][0]:
+                generation = following[1]
+                packed.extend(following[2][1])
+            else:
+                held.append(following)
+        return ("deltas", generation, (False, packed))
 
     work_bell, done_bell = bells
     ctrl = ring.ctrl
@@ -566,9 +699,8 @@ def _shm_worker_loop(
                 # The dispatcher ships the swap before stamping any
                 # slot with the new generation, so it is in the pipe.
                 msg = control()
-                if msg[0] == "stop":
+                if msg[0] == "stop" or not apply(msg):
                     return
-                apply(msg)
             engine = engines.get(slot_gen) or engines[max(engines)]
             count = int(row[COUNT])
             view = ring.packets[slot, :count]
@@ -634,14 +766,13 @@ def _shm_worker_loop(
             done_bell.release()
         if worked:
             continue
-        # Idle: control messages first (the dispatcher rings the work
-        # bell after sending one, so snapshot builds happen before the
-        # next chunk needs the new engine), then sleep on the bell.
-        if conn.poll():
+        # Idle: control messages first (the sender rings the work bell
+        # after writing one, so deltas apply before the next chunk needs
+        # the new engine), then sleep on the bell.
+        if held or conn.poll():
             msg = control()
-            if msg[0] == "stop":
+            if msg[0] == "stop" or not apply(msg):
                 return
-            apply(msg)
             continue
         work_bell.acquire(timeout=IDLE_WAIT_S)
 
@@ -655,9 +786,15 @@ class ShmWorkerPool:
 
     The public surface mirrors what
     :class:`~repro.runtime.shard.ShardedRuntime` needs from a pool:
-    :meth:`submit` / :meth:`wait` per chunk, :meth:`ship_swap` once per
-    hot swap, :meth:`respawn_all` for the deadline ladder, and
-    :meth:`close`.
+    :meth:`submit` / :meth:`wait` per chunk, :meth:`ship_deltas` (or
+    :meth:`ship_swap`, a full snapshot) once per hot swap,
+    :meth:`respawn_all` for the deadline ladder, and :meth:`close`.
+
+    Control messages leave through one sender thread, in the order they
+    were shipped: a message larger than the pipe buffer blocks until its
+    worker reads it, and the worker may be asleep on its bell, so the
+    caller only queues it.  A worker blocks on its pipe until the
+    generation its next slot names arrives.
     """
 
     def __init__(
@@ -679,8 +816,6 @@ class ShmWorkerPool:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         check_shm_schema(classifier.schema)
-        import threading
-
         self.num_workers = num_workers
         self.capacity = capacity
         self.depth = depth
@@ -690,7 +825,14 @@ class ShmWorkerPool:
         self._deltas_received = 0
         self._ctx = get_context()
         self._lock = threading.Lock()
-        self._snapshot = pack_snapshot(classifier, config, engine)
+        #: What a (re)spawned worker starts from: the latest shipped
+        #: engine, packed lazily (deltas leave the old packing stale).
+        self._config = config
+        self._classifier = classifier
+        self._engine = engine
+        self._snapshot: Optional[Dict[str, object]] = None
+        #: A slot was stamped with the current generation.
+        self._stamped = False
         self._obs_spec = obs_spec
         self._plan = plan
         self._spawn_timeout_s = spawn_timeout_s
@@ -700,6 +842,7 @@ class ShmWorkerPool:
         self.status_queue = self._ctx.Queue()
         self._errors: Dict[Tuple[int, int], str] = {}
         self._deltas: List[object] = []
+        self._inspected: Dict[int, Tuple[int, object]] = {}
         #: slot -> (seq, count) of a completed-or-in-flight submit whose
         #: results the dispatcher has not read yet.  A slot may only be
         #: reused after its previous results are either waited on or
@@ -717,6 +860,13 @@ class ShmWorkerPool:
             (self._ctx.Semaphore(0), self._ctx.Semaphore(0))
             for _ in range(num_workers)
         ]
+        #: FIFO of (conn, work bell, message) for the sender thread; a
+        #: None message closes the conn, a None item stops the thread.
+        self._outbox: "queue.SimpleQueue" = queue.SimpleQueue()
+        self._sender = threading.Thread(
+            target=self._send_loop, name="shm-control", daemon=True
+        )
+        self._sender.start()
         try:
             for w in range(num_workers):
                 self._spawn(w)
@@ -727,6 +877,10 @@ class ShmWorkerPool:
 
     # -- spawning ------------------------------------------------------
     def _spawn(self, worker: int) -> None:
+        if self._snapshot is None:
+            self._snapshot = pack_snapshot(
+                self._classifier, self._config, self._engine
+            )
         recv, send = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=_shm_worker_main,
@@ -803,6 +957,12 @@ class ShmWorkerPool:
             elif kind == "delta":
                 self._deltas.append(item[1])
                 self._deltas_received += 1
+            elif kind == "decomposition":
+                _, worker, generation, packed = item
+                self._inspected[worker] = (
+                    generation,
+                    unpack_decomposition({"decomposition": packed}),
+                )
             # "ready" items only matter for their queue-drain side effect;
             # readiness itself is the shared worker_state word.
 
@@ -830,15 +990,31 @@ class ShmWorkerPool:
 
     # -- hot swap ------------------------------------------------------
     def ship_swap(self, classifier: Classifier, config, engine=None) -> int:
-        """Pack ``classifier`` (with ``engine``'s decomposition, when
-        given) once and ship it to every worker; returns the new
-        generation.  Subsequent submits stamp slots with it, so workers
-        upgrade before serving any new-generation chunk while
+        """Pack ``classifier`` (with ``engine``'s decomposition and
+        lineage, when given) once and ship it to every worker; returns
+        the new generation.  Subsequent submits stamp slots with it, so
+        workers upgrade before serving any new-generation chunk while
         old-generation slots still get the old engine."""
         snapshot = pack_snapshot(classifier, config, engine)
         with self._lock:
-            self._snapshot = snapshot
+            self._classifier, self._config = classifier, config
+            self._engine, self._snapshot = engine, snapshot
             return self._ship("swap", snapshot)
+
+    def ship_deltas(self, deltas, engine) -> int:
+        """Ship the incremental rebuilds that take the workers' engine to
+        ``engine`` (its lineage's deltas they lack, in order) as one
+        control message; returns the new generation.  Each worker
+        applies them to its own engine, as a swap would upgrade it."""
+        k = engine.classifier.num_fields
+        packed = [pack_delta(delta, k) for delta in deltas]
+        with self._lock:
+            self._classifier, self._engine = engine.classifier, engine
+            self._snapshot = None
+            # With no slot stamped since the last message, no slot can
+            # ever name the generation between them: a worker may apply
+            # both as one composed rebuild.
+            return self._ship("deltas", (not self._stamped, packed))
 
     def ship_plan(self, plan) -> int:
         """Ship a changed fault plan (specs armed on it, or a new one)
@@ -850,17 +1026,60 @@ class ShmWorkerPool:
             return self._ship("plan", plan)
 
     def _ship(self, kind: str, payload) -> int:
-        """Send a generation-opening control message to every worker
+        """Queue a generation-opening control message for every worker
         (caller holds the lock)."""
         self.generation += 1
+        self._stamped = False
         for worker, conn in enumerate(self._conns):
             if conn is not None:
-                try:
-                    conn.send((kind, self.generation, payload))
-                except (BrokenPipeError, OSError):
-                    pass  # dead worker; its respawn gets the current state
-                self._bells[worker][0].release()
+                self._outbox.put(
+                    (conn, self._bells[worker][0],
+                     (kind, self.generation, payload))
+                )
         return self.generation
+
+    def decompositions(self, timeout_s: float = 30.0) -> Dict[int, object]:
+        """worker -> ``(generation, (groups, d_indices))`` of the newest
+        engine each worker holds once it has read every message shipped
+        so far: a diagnostic that shows the workers' decompositions
+        equal the parent's."""
+        for worker, process in enumerate(self._workers):
+            if process is None or not process.is_alive():
+                self.respawn_worker(worker)
+        with self._lock:
+            self._inspected = {}
+            for worker, conn in enumerate(self._conns):
+                self._outbox.put(
+                    (conn, self._bells[worker][0],
+                     ("inspect", self.generation, None))
+                )
+        deadline = time.monotonic() + timeout_s
+        while len(self._inspected) < self.num_workers:
+            if time.monotonic() > deadline:
+                raise TimeoutError(
+                    f"workers {sorted(set(range(self.num_workers)) - set(self._inspected))} "
+                    f"did not report within {timeout_s}s"
+                )
+            self._drain_status(wait_s=DONE_WAIT_S)
+        return dict(self._inspected)
+
+    def _send_loop(self) -> None:
+        """The sender thread: write queued control messages in order,
+        ringing each worker's work bell after its message is written."""
+        while True:
+            item = self._outbox.get()
+            if item is None:
+                return
+            conn, bell, msg = item
+            try:
+                if msg is None:
+                    conn.close()
+                else:
+                    conn.send(msg)
+            except (OSError, ValueError):
+                pass  # dead worker; its respawn gets the current state
+            if bell is not None:
+                bell.release()
 
     # -- data path -----------------------------------------------------
     def submit(
@@ -913,6 +1132,7 @@ class ShmWorkerPool:
                         self.ring.packets[slot, :count] = block
                         row[COUNT] = count
                         row[GEN] = self.generation
+                        self._stamped = True
                         row[STATUS] = STATUS_OK
                         if trace_ctx is not None:
                             row[TRACE_ID] = trace_ctx.trace_id
@@ -1049,10 +1269,9 @@ class ShmWorkerPool:
                 process.join(timeout=5.0)
             conn = self._conns[worker]
             if conn is not None:
-                try:
-                    conn.close()
-                except OSError:  # pragma: no cover
-                    pass
+                # Closed by the sender, after any message still queued
+                # for it: the sender may be writing to it right now.
+                self._outbox.put((conn, None, None))
             reclaimed = self._reclaim(worker)
             self._spawn(worker)
             return reclaimed
@@ -1078,23 +1297,19 @@ class ShmWorkerPool:
         """Stop the workers, reap them, release the segment.  Idempotent."""
         for worker, conn in enumerate(self._conns):
             if conn is not None:
-                try:
-                    conn.send(("stop",))
-                except (BrokenPipeError, OSError):
-                    pass
-                self._bells[worker][0].release()
+                self._outbox.put((conn, self._bells[worker][0], ("stop",)))
+                self._outbox.put((conn, None, None))
+        self._outbox.put(None)
+        self._sender.join(timeout=2.0)
         for process in self._workers:
             if process is not None:
                 process.join(timeout=2.0)
                 if process.is_alive():  # pragma: no cover - stuck worker
                     process.terminate()
                     process.join(timeout=2.0)
-        for conn in self._conns:
-            if conn is not None:
-                try:
-                    conn.close()
-                except OSError:  # pragma: no cover
-                    pass
+        # A worker that never read its pipe held the sender up; the
+        # dead worker's pipe errors out, so the sender finishes now.
+        self._sender.join(timeout=2.0)
         self._workers = []
         self._conns = []
         try:

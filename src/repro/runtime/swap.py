@@ -5,14 +5,18 @@ A :class:`HotSwapRuntime` owns the authoritative rule state (an ordered
 rule table: rule id → :class:`~repro.core.rule.Rule`, in priority order)
 and a built serving engine.  Updates apply to the table immediately and
 are recorded in :attr:`~HotSwapRuntime.update_log`; a rebuild — inline by
-default, in a background thread when ``background=True`` — constructs a
-fresh :class:`~repro.saxpac.engine.SaxPacEngine` from a snapshot and swaps
-it in with one attribute store (atomic under the GIL, the RCU
-writer-side).  The table does no placement of its own: the engine
-decomposes each snapshot into groups and D, so seeding is one pass over
-the rules.  Readers grab the engine reference once per lookup or batch
-and finish on whichever engine they started with (the read-side), so
-traffic never blocks on a rebuild.
+default, in a background thread when ``background=True`` — derives a new
+:class:`~repro.saxpac.engine.SaxPacEngine` and swaps it in with one
+attribute store (atomic under the GIL, the RCU writer-side).  Ids are
+issued in priority order, so the writes logged since the serving
+engine's build name the changed body positions directly, and
+:meth:`SaxPacEngine.rebuild <repro.saxpac.engine.SaxPacEngine.rebuild>`
+costs O(changed rules); only the first build, a custom ``builder`` or a
+serving fallback compiles a snapshot from scratch.  The table does no
+placement of its own, so seeding is one pass over the rules.  Readers
+grab the engine reference once per lookup or batch and finish on
+whichever engine they started with (the read-side), so traffic never
+blocks on a rebuild.
 
 **Failure handling.**  A failed rebuild never crashes the serving path;
 it degrades, in two tiers:
@@ -39,11 +43,11 @@ import bisect
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..chaos.injector import NULL_INJECTOR
 from ..core.classifier import Classifier, MatchResult
-from ..core.rule import Rule
+from ..core.rule import Rule, catch_all_rule
 from ..saxpac.config import EngineConfig
 from ..saxpac.engine import SaxPacEngine
 from ..saxpac.updates import InsertOutcome, InsertReport
@@ -121,8 +125,14 @@ class HotSwapRuntime:
             )
         self.schema = source.schema
         self.default_action = source.catch_all.action
+        self._catch_all = catch_all_rule(self.schema, self.default_action)
         #: The rule table: id -> rule, insertion order = priority order.
+        #: Ids are issued in priority order, so a rule's body position
+        #: is the rank of its id in ``_ids`` (the live ids, ascending).
+        #: The source's rules were validated when it was built; every
+        #: later rule is validated as it enters.
         self._rules: Dict[int, Rule] = dict(enumerate(source.body))
+        self._ids: List[int] = list(self._rules)
         self._next_id = len(self._rules)
         # Guards the table against concurrent writers and the background
         # rebuild's snapshot.
@@ -130,9 +140,19 @@ class HotSwapRuntime:
         self.update_log: List[UpdateRecord] = []
         self.generation = 0
         self._lock = threading.Lock()  # writer-side only
+        # One build at a time: an incremental rebuild diffs against the
+        # serving engine's table state, so builds must not interleave.
+        self._build_lock = threading.Lock()
         self._rebuild_thread: Optional[threading.Thread] = None
         self._dirty = False
         self._engine = None
+        #: The live ids and the update-log length of the table state the
+        #: serving engine was built from: what the next incremental
+        #: rebuild diffs against.
+        self._base: Optional[Tuple[List[int], int]] = None
+        #: Called with each engine that swaps in (after the swap), e.g. to
+        #: ship it to shard workers right away.
+        self.on_swap: Optional[Callable[[object], None]] = None
         self.rebuild(wait=True)
 
     # ------------------------------------------------------------------
@@ -159,12 +179,33 @@ class HotSwapRuntime:
         """Priority-ordered static snapshot of the rule table."""
         with self._table_lock:
             rules = tuple(self._rules.values())
-        return Classifier(
-            self.schema,
-            rules,
-            ensure_catch_all=True,
-            default_action=self.default_action,
-        )
+        return Classifier.from_checked(self.schema, rules + (self._catch_all,))
+
+    def _changes(
+        self, base: Tuple[List[int], int], ids: List[int], seq: int
+    ) -> Tuple[List[int], List[int], List[Rule]]:
+        """``(removed, added, rules)`` taking the table state ``base`` to
+        the current one (live ``ids`` after ``seq`` logged writes), read
+        from the writes logged in between: removed and modified rules
+        leave their old positions, inserted and modified ones enter at
+        their new positions.  Caller holds the table lock."""
+        base_ids, base_seq = base
+        left, entered = set(), set()
+        for record in self.update_log[base_seq:seq]:
+            if record.kind != "insert":
+                left.add(record.rule_id)
+            if record.kind == "remove":
+                entered.discard(record.rule_id)
+            else:
+                entered.add(record.rule_id)
+        removed = []
+        for rule_id in left:
+            p = bisect.bisect_left(base_ids, rule_id)
+            if p < len(base_ids) and base_ids[p] == rule_id:
+                removed.append(p)
+        removed.sort()
+        added = sorted(bisect.bisect_left(ids, i) for i in entered)
+        return removed, added, [self._rules[ids[p]] for p in added]
 
     def serving_classifier(self) -> Classifier:
         """The classifier the *serving* engine answers for.  Equal to
@@ -174,6 +215,10 @@ class HotSwapRuntime:
         return self._engine.classifier
 
     def _build_and_swap(self) -> None:
+        with self._build_lock:
+            self._build_and_swap_locked()
+
+    def _build_and_swap_locked(self) -> None:
         recorder = self.recorder
         start = time.perf_counter() if recorder.enabled else 0.0
         # Off the data path, so the span is unconditional; background
@@ -183,10 +228,21 @@ class HotSwapRuntime:
             generation=self.generation + 1,
             background=self.background,
         ):
-            snapshot = self.snapshot_classifier()
+            previous = self._engine
+            base = self._base
+            with self._table_lock:
+                ids = list(self._ids)
+                seq = len(self.update_log)
+                rules = tuple(self._rules.values())
+                change = (
+                    self._changes(base, ids, seq)
+                    if self._incremental
+                    and base is not None
+                    and isinstance(previous, SaxPacEngine)
+                    else None
+                )
             engine = None
             failed = False
-            previous = self._engine
             injector = self.injector
             try:
                 if injector.enabled:
@@ -195,16 +251,12 @@ class HotSwapRuntime:
                     )
             except Exception:
                 failed = True
-            if (
-                not failed
-                and self._incremental
-                and isinstance(previous, SaxPacEngine)
-            ):
-                # Incremental path: re-admit only the changed rules,
-                # reusing the serving engine's structures read-only (the
-                # old engine keeps serving until the swap below).
+            if not failed and change is not None:
+                # Incremental path: place only the changed rules, reusing
+                # the serving engine's structures read-only (the old
+                # engine keeps serving until the swap below).
                 try:
-                    engine = previous.rebuild(snapshot)
+                    engine = previous.rebuild(*change)
                     if engine.build_incremental:
                         recorder.incr("swap.incremental_rebuilds")
                     else:
@@ -212,6 +264,10 @@ class HotSwapRuntime:
                 except Exception:
                     recorder.incr("swap.incremental_failures")
                     engine = None
+            if engine is None:
+                snapshot = Classifier.from_checked(
+                    self.schema, rules + (self._catch_all,)
+                )
             if engine is None and not failed:
                 try:
                     engine = self._builder(snapshot)
@@ -240,6 +296,7 @@ class HotSwapRuntime:
                 engine = LinearFallback(snapshot)
         # The swap itself: one attribute store, atomic under the GIL.
         # In-flight readers hold the old reference and drain naturally.
+        self._base = (ids, seq)
         self._engine = engine
         self.generation += 1
         # Whatever swapped in serves the *current* snapshot — any prior
@@ -253,6 +310,8 @@ class HotSwapRuntime:
                 self.health.record_success("swap.build")
         if recorder.enabled:
             recorder.observe("swap.rebuild", time.perf_counter() - start)
+        if self.on_swap is not None:
+            self.on_swap(engine)
 
     def rebuild(self, wait: bool = True) -> None:
         """Rebuild from the current rule table and swap the result in.
@@ -306,17 +365,22 @@ class HotSwapRuntime:
     # Updates (writer side)
     # ------------------------------------------------------------------
     def _log(self, kind: str, rule_id: Optional[int], rule: Optional[Rule]) -> None:
+        """Record a write (caller holds the table lock: rebuilds read
+        the log and the table together)."""
         self.update_log.append(
             UpdateRecord(kind, rule_id, rule, time.time())
         )
         self.recorder.incr(f"swap.{kind}s")
 
-    def _check_arity(self, rule: Rule) -> None:
+    def _check_rule(self, rule: Rule, position: int) -> None:
+        """Validate a rule entering the table at body ``position``, with
+        the checks and messages of :meth:`Classifier.check_rules`."""
         if rule.num_fields != len(self.schema):
             raise ValueError(
                 f"rule has {rule.num_fields} fields, schema expects "
                 f"{len(self.schema)}"
             )
+        Classifier.check_rules(self.schema, (rule,), (position,))
 
     def _report(self, rule_id: int, rule: Rule, position: int) -> InsertReport:
         """The report of a write that put ``rule`` at body index
@@ -324,12 +388,13 @@ class HotSwapRuntime:
         engine = self._engine
         outcome = InsertOutcome.ORDER_DEPENDENT
         if isinstance(engine, SaxPacEngine):
-            body = engine.classifier.body
-            if position < len(body) and body[position] is rule:
-                _, d_indices = engine.decomposition()
-                at = bisect.bisect_left(d_indices, position)
-                if at == len(d_indices) or d_indices[at] != position:
-                    outcome = InsertOutcome.GROUP
+            rules = engine.classifier.rules
+            if (
+                position < len(rules) - 1
+                and rules[position] is rule
+                and not engine.in_d(position)
+            ):
+                outcome = InsertOutcome.GROUP
         return InsertReport(outcome, rule_id)
 
     def insert(self, rule: Rule) -> InsertReport:
@@ -342,14 +407,16 @@ class HotSwapRuntime:
         ``ORDER_DEPENDENT``.  A rule that engine does not hold yet (a
         background rebuild still pending, a quarantined build) or serves
         by linear scan (the fallback) reports ``ORDER_DEPENDENT``.
-        ``ValueError`` for a rule of the wrong arity (no id is used)."""
-        self._check_arity(rule)
+        ``ValueError`` for a rule that does not fit the schema (no id is
+        used)."""
         with self._table_lock:
+            position = len(self._ids)
+            self._check_rule(rule, position)
             rule_id = self._next_id
             self._next_id += 1
             self._rules[rule_id] = rule
-            position = len(self._rules) - 1
-        self._log("insert", rule_id, rule)
+            self._ids.append(rule_id)
+            self._log("insert", rule_id, rule)
         self.rebuild(wait=not self.background)
         return self._report(rule_id, rule, position)
 
@@ -360,7 +427,8 @@ class HotSwapRuntime:
             if rule_id not in self._rules:
                 raise KeyError(f"unknown rule id {rule_id}")
             del self._rules[rule_id]
-        self._log("remove", rule_id, None)
+            del self._ids[bisect.bisect_left(self._ids, rule_id)]
+            self._log("remove", rule_id, None)
         self.rebuild(wait=not self.background)
 
     def modify(self, rule_id: int, new_rule: Rule) -> InsertReport:
@@ -369,10 +437,10 @@ class HotSwapRuntime:
         with self._table_lock:
             if rule_id not in self._rules:
                 raise KeyError(f"unknown rule id {rule_id}")
-            self._check_arity(new_rule)
+            position = bisect.bisect_left(self._ids, rule_id)
+            self._check_rule(new_rule, position)
             self._rules[rule_id] = new_rule
-            position = list(self._rules).index(rule_id)
-        self._log("modify", rule_id, new_rule)
+            self._log("modify", rule_id, new_rule)
         self.rebuild(wait=not self.background)
         return self._report(rule_id, new_rule, position)
 

@@ -20,6 +20,8 @@ returns the highest-priority survivor — exactly the dataflow of Figure 4.
 
 from __future__ import annotations
 
+import itertools
+import os
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -32,18 +34,19 @@ from ..chaos.injector import NULL_INJECTOR
 from ..core.actions import Action
 from ..core.classifier import Classifier, MatchResult
 from ..core.packet import headers_array
+from ..core.rule import Rule
 from ..lookup.group_engine import (
     GroupIndex,
     MultiGroupEngine,
     build_group_index,
 )
 from ..runtime.telemetry import NULL_RECORDER
-from ..tcam.encoding import BinaryRangeEncoder, RangeEncoder
 from ..tcam.bitset import BitsetTcam
-from ..tcam.tcam import build_tcam
+from ..tcam.encoding import BinaryRangeEncoder, RangeEncoder, expand_rule
+from ..tcam.tcam import Tcam, TcamClassifier
 from .config import EngineConfig
 
-__all__ = ["SaxPacEngine", "EngineReport"]
+__all__ = ["EngineDelta", "EngineReport", "SaxPacEngine", "compose_deltas"]
 
 
 @dataclass(frozen=True)
@@ -137,6 +140,121 @@ class _BuildStage:
             self._recorder.observe(f"engine.build.{self._name}", elapsed)
 
 
+#: Lineage roots: one per from-scratch build in this process.
+_ROOTS = itertools.count(1)
+
+
+def _new_root() -> int:
+    """A lineage root no other process issues (forked shard workers
+    inherit the counter, not the pid)."""
+    return os.getpid() << 32 | next(_ROOTS)
+
+
+@dataclass(frozen=True, eq=False)
+class EngineDelta:
+    """One incremental rebuild as data: what :meth:`SaxPacEngine.plan`
+    decides and :meth:`SaxPacEngine.apply` carries out.
+
+    ``base`` is the lineage of the engine the delta applies to.  The body
+    rules at positions ``removed`` of that engine's classifier leave, and
+    ``rules`` enter at positions ``added`` of the result (both
+    ascending); every other rule keeps its relative order.  The added
+    rules are placed here, so every engine that applies the delta ends
+    with the same decomposition: ``groups`` are the new groups as
+    ``(fields, member positions)``, and ``d`` the added positions that
+    go to D.
+    """
+
+    base: Tuple[int, int]
+    removed: np.ndarray
+    added: np.ndarray
+    rules: Tuple[Rule, ...]
+    groups: Tuple[Tuple[Tuple[int, ...], np.ndarray], ...]
+    d: np.ndarray
+    #: How many planned rebuilds this delta carries out (more than one
+    #: for a :func:`compose_deltas` result).
+    steps: int = 1
+
+
+def compose_deltas(deltas: Sequence[EngineDelta], size: int) -> EngineDelta:
+    """One delta with the effect of applying ``deltas`` in order to an
+    engine whose body holds ``size`` rules: one :meth:`SaxPacEngine
+    .apply` instead of one per delta, ending in the same decomposition.
+    Positions move forward through each later delta's position map; a
+    rule added and then removed drops out, and so does a new group whose
+    members all left."""
+    if len(deltas) == 1:
+        return deltas[0]
+    to_final = np.arange(size, dtype=np.int64)
+    #: Per delta: (added positions, its groups, its D part), kept current.
+    entered: List[Tuple[np.ndarray, list, np.ndarray]] = []
+    for delta in deltas:
+        step = _position_map(size, delta.removed, delta.added)
+        to_final = _relabel(to_final, step)
+        entered = [
+            (
+                _relabel(added, step),
+                [(fields, _relabel(members, step)) for fields, members in groups],
+                _relabel(d, step),
+            )
+            for added, groups, d in entered
+        ]
+        entered.append((delta.added, list(delta.groups), delta.d))
+        size += len(delta.added) - len(delta.removed)
+    positions = np.concatenate([added for added, _, _ in entered])
+    rows = np.flatnonzero(positions >= 0)
+    order = rows[np.argsort(positions[rows], kind="stable")]
+    rules = [rule for delta in deltas for rule in delta.rules]
+    groups = []
+    for _, delta_groups, _ in entered:
+        for fields, members in delta_groups:
+            live = members[members >= 0]
+            if len(live):
+                groups.append((fields, live))
+    d = np.concatenate([d for _, _, d in entered])
+    return EngineDelta(
+        base=deltas[0].base,
+        removed=np.flatnonzero(to_final < 0),
+        added=positions[order],
+        rules=tuple(rules[i] for i in order.tolist()),
+        groups=tuple(groups),
+        d=np.sort(d[d >= 0]),
+        steps=sum(delta.steps for delta in deltas),
+    )
+
+
+def _check_positions(positions: np.ndarray, size: int, what: str) -> None:
+    if len(positions) and (
+        positions[0] < 0
+        or positions[-1] >= size
+        or (np.diff(positions) <= 0).any()
+    ):
+        raise ValueError(
+            f"{what} positions must ascend within [0, {size})"
+        )
+
+
+def _position_map(
+    old_size: int, removed: np.ndarray, added: np.ndarray
+) -> np.ndarray:
+    """Old body position -> new one (-1 for removed): carried rules fill
+    the positions ``added`` leaves free, in order."""
+    keep = np.ones(old_size, dtype=bool)
+    keep[removed] = False
+    free = np.ones(old_size - len(removed) + len(added), dtype=bool)
+    free[added] = False
+    old_to_new = np.full(old_size, -1, dtype=np.int64)
+    old_to_new[keep] = np.flatnonzero(free)
+    return old_to_new
+
+
+def _relabel(ids: np.ndarray, old_to_new: np.ndarray) -> np.ndarray:
+    """``ids`` mapped through ``old_to_new``; -1 stays -1."""
+    if not len(old_to_new):
+        return np.full(len(ids), -1, dtype=np.int64)
+    return np.where(ids >= 0, old_to_new[np.maximum(ids, 0)], np.int64(-1))
+
+
 class SaxPacEngine:
     """Semantically equivalent drop-in for first-match classification."""
 
@@ -199,13 +317,17 @@ class SaxPacEngine:
         self._compile(grouping, stages)
 
     def _compile(
-        self, grouping: MGRResult, stages: List[Tuple[str, float]]
+        self,
+        grouping: MGRResult,
+        stages: List[Tuple[str, float]],
+        lineage: Optional[Tuple[int, int]] = None,
     ) -> None:
         """Lookup structures for a decomposition: one index per group,
-        then D programmed into the TCAM and its bitsets."""
+        then D programmed into the TCAM and its bitsets.  Starts a new
+        lineage unless ``lineage`` names the one this build copies."""
         cfg = self.config
         classifier = self.classifier
-        self.grouping = grouping
+        self._grouping: Optional[MGRResult] = grouping
         with self._stage("lookup", stages):
             self.software = MultiGroupEngine(
                 classifier,
@@ -213,21 +335,53 @@ class SaxPacEngine:
                 cascading=cfg.use_cascading,
                 recorder=self.recorder,
             )
-        self._d_indices: Tuple[int, ...] = grouping.ungrouped
+        d_indices = np.asarray(grouping.ungrouped, dtype=np.int64)
         with self._stage("tcam", stages):
-            self._tcam, self._tcam_view = build_tcam(
-                classifier,
-                encoder=self.encoder,
-                rule_indices=self._d_indices,
-                capacity=cfg.d_capacity,
-            )
-            self._d_bits = BitsetTcam.from_classifier(
-                classifier, self._d_indices
-            )
+            self._d_bits = BitsetTcam.from_classifier(classifier, d_indices)
+            self._tcam = Tcam(classifier.schema.total_width, cfg.d_capacity)
+            self._program_d(self._tcam, classifier, self._d_bits.rule_ids, 0)
+        self._finish(
+            tuple(stages),
+            incremental=False,
+            lineage=lineage or (_new_root(), 0),
+            deltas=(),
+            tombstones=0,
+        )
+
+    def _finish(self, stages, incremental, lineage, deltas, tombstones):
+        self._tcam_view = TcamClassifier(
+            self._tcam, self.classifier, self.encoder,
+            range(self.classifier.num_fields),
+        )
         self.d_lookups_skipped = 0
-        self.build_stages: Tuple[Tuple[str, float], ...] = tuple(stages)
+        self.build_stages: Tuple[Tuple[str, float], ...] = stages
         self.build_seconds: float = sum(dt for _, dt in stages)
-        self.build_incremental: bool = False
+        self.build_incremental: bool = incremental
+        #: ``(root, step)``: the from-scratch build this engine descends
+        #: from and how many deltas it applied since.
+        self.lineage: Tuple[int, int] = lineage
+        #: The deltas applied since that build, in order.
+        self.deltas: Tuple[EngineDelta, ...] = deltas
+        #: Tombstoned group slots: churn that counts toward
+        #: :data:`STALENESS_LIMIT`, kept as a running total.
+        self._tombstones = tombstones
+
+    def _program_d(self, tcam, classifier, indices, first_slot, known=None):
+        """Program the TCAM model with the D rules at body ``indices``,
+        labelling each row with its rule's D bit position (from
+        ``first_slot`` on): an incremental rebuild relabels D by one
+        gather over the bitsets' ``rule_ids`` instead of rewriting rows.
+        ``known`` maps a body index to already expanded entries."""
+        schema = classifier.schema
+        for slot, index in enumerate(np.asarray(indices).tolist(), first_slot):
+            if index < 0:
+                continue
+            rule = classifier.rules[index]
+            entries = known.get(index) if known else None
+            if entries is None:
+                entries = expand_rule(rule, schema, self.encoder)
+            for entry in entries:
+                tcam.program(entry, slot, rule)
 
     @classmethod
     def from_decomposition(
@@ -238,13 +392,15 @@ class SaxPacEngine:
         d_indices: Sequence[int],
         recorder=None,
         injector=None,
+        lineage: Optional[Tuple[int, int]] = None,
     ) -> "SaxPacEngine":
         """An engine serving a decomposition computed by another engine
         over the same rules (``groups`` and the D indices, as
         :meth:`decomposition` returns them).  Skips the
         disjointness and grouping stages — shared-memory shard workers
         compile a snapshot this way — and answers exactly like any
-        engine over ``classifier``."""
+        engine over ``classifier``.  ``lineage`` is the source engine's,
+        so the deltas it applies next apply here too."""
         self = cls.__new__(cls)
         self.classifier = classifier
         self.config = config or EngineConfig()
@@ -253,13 +409,44 @@ class SaxPacEngine:
         self.injector = injector if injector is not None else NULL_INJECTOR
         l = min(self.config.max_group_fields, classifier.num_fields)
         grouping = MGRResult(tuple(groups), tuple(sorted(d_indices)), l)
-        self._compile(grouping, [])
+        self._compile(grouping, [], lineage)
         return self
+
+    @property
+    def grouping(self) -> MGRResult:
+        """The decomposition as an :class:`MGRResult` (live group members
+        and D, in body indices), derived on first use after a rebuild."""
+        if self._grouping is None:
+            groups = tuple(
+                Group(
+                    rule_indices=tuple(
+                        index.rule_ids[index.rule_ids >= 0].tolist()
+                    ),
+                    fields=index.fields,
+                )
+                for index in self.software.groups
+            )
+            l = min(self.config.max_group_fields, self.classifier.num_fields)
+            self._grouping = MGRResult(
+                groups, tuple(self._d_live().tolist()), l
+            )
+        return self._grouping
 
     def decomposition(self) -> Tuple[Tuple[Group, ...], Tuple[int, ...]]:
         """``(groups, d_indices)``: live group members and fields and the
         order-dependent part — what :meth:`from_decomposition` needs."""
-        return self.grouping.groups, self._d_indices
+        grouping = self.grouping
+        return grouping.groups, grouping.ungrouped
+
+    def _d_live(self) -> np.ndarray:
+        """Body indices of the D rules, ascending."""
+        ids = self._d_bits.rule_ids
+        return ids[ids >= 0]
+
+    def in_d(self, index: int) -> bool:
+        """True when body rule ``index`` lives in the order-dependent
+        part D."""
+        return bool((self._d_bits.rule_ids == index).any())
 
     # ------------------------------------------------------------------
     # Incremental rebuild
@@ -275,204 +462,213 @@ class SaxPacEngine:
     #: groups from hot inserts made reads ~19x slower after 180 inserts.
     DELTA_MIN_GROUP_SIZE = 16
 
-    def rebuild(self, new_classifier: Classifier) -> "SaxPacEngine":
-        """A new engine for ``new_classifier``, reusing this engine's
-        structures where the rule set did not change.
+    def rebuild(
+        self,
+        removed: Sequence[int],
+        added: Sequence[int],
+        rules: Sequence[Rule],
+    ) -> "SaxPacEngine":
+        """A new engine for this engine's rules with the body positions
+        ``removed`` dropped and ``rules`` placed at positions ``added`` of
+        the result (both ascending; every other rule keeps its relative
+        order — the position map a rule table derives from its ids).
 
-        Rules are diffed by **object identity** (snapshot flows such as
-        :class:`~repro.runtime.swap.HotSwapRuntime` and
-        :class:`~repro.saxpac.updates.DynamicSaxPac` reuse ``Rule``
-        instances across versions).  Carried rules keep their group slots —
-        priority shifts only relabel the per-group ``rule_ids`` arrays;
-        removed rules tombstone their slots (sound because members are
-        pairwise disjoint on the group fields); added rules are grouped
-        among themselves with the same l-MGR admission and become new
-        groups, or go to D when ungrouped or in a group of fewer than
-        :data:`DELTA_MIN_GROUP_SIZE` rules.  D re-encodes through a
-        ternary-pattern cache so only rules new to D pay range expansion.
+        :meth:`plan` places the added rules and :meth:`apply` carries the
+        plan out, so the work is O(changed rules) Python plus array
+        copies: carried group indexes are relabelled by one gather,
+        removed rules tombstone their group slots (sound because members
+        are pairwise disjoint on the group fields) or clear their D bit,
+        and only the added rules are grouped and expanded.  ``rules``
+        must fit the schema (:meth:`Classifier.check_rules`; a rule
+        table checks each rule as it enters).
 
-        The serving engine is never mutated — shared structures are reused
-        read-only, so an RCU-style swap can retire it safely.  Falls back
-        to a from-scratch build when the diff cannot be trusted (duplicate
-        rule objects, schema change, MRCC mode) or when accumulated churn
-        exceeds :data:`STALENESS_LIMIT`.  Semantics always match a full
-        build; the grouping *shape* may differ (delta groups).
-        """
-        cfg = self.config
+        The serving engine is never mutated, so an RCU-style swap can
+        retire it safely.  Falls back to a from-scratch build in MRCC mode
+        or when accumulated churn exceeds :data:`STALENESS_LIMIT`.
+        Semantics always match a full build; the grouping *shape* may
+        differ (delta groups)."""
         stages: List[Tuple[str, float]] = []
-        with self._stage("diff", stages):
-            plan = self._diff(new_classifier)
-            if plan is not None:
-                # Carried rows come from this engine's bounds matrix;
-                # only the added rules are derived.
-                new_classifier.carry_bounds(self.classifier, plan[0])
-        if plan is None:
+        delta = self._plan(removed, added, rules, stages)
+        if delta is None:
             return SaxPacEngine(
-                new_classifier, cfg, self.encoder, self.recorder,
+                self.classifier.successor(removed, added, tuple(rules)),
+                self.config, self.encoder, self.recorder,
                 injector=self.injector,
             )
-        old_to_new, added = plan
+        return self.apply(delta, stages)
+
+    def plan(
+        self,
+        removed: Sequence[int],
+        added: Sequence[int],
+        rules: Sequence[Rule],
+    ) -> Optional[EngineDelta]:
+        """The first half of :meth:`rebuild`: check the change and place
+        the added rules — the l-MGR admission among themselves, with
+        groups under :data:`DELTA_MIN_GROUP_SIZE` rules going to D.  None
+        when the change needs a from-scratch build instead."""
+        return self._plan(removed, added, rules, [])
+
+    def _plan(self, removed, added, rules, stages):
+        cfg = self.config
+        schema = self.classifier.schema
+        with self._stage("diff", stages):
+            removed = np.asarray(removed, dtype=np.int64)
+            added = np.asarray(added, dtype=np.int64)
+            rules = tuple(rules)
+            old_size = len(self.classifier.rules) - 1
+            new_size = old_size - len(removed) + len(added)
+            _check_positions(removed, old_size, "removed")
+            _check_positions(added, new_size, "added")
+            if len(rules) != len(added):
+                raise ValueError("need one rule per added position")
+            if cfg.enforce_cache:
+                # MRCC demotions depend on global priorities; localized
+                # re-admission cannot preserve the cache property.
+                return None
+            churn = len(removed) + self._tombstones + len(added)
+            if churn > self.STALENESS_LIMIT * max(1, new_size):
+                return None
         with self._stage("grouping", stages):
-            l = min(cfg.max_group_fields, new_classifier.num_fields)
-            #: (old index, relabeled rule_ids) per carried group.
-            carried: List[Tuple[GroupIndex, np.ndarray]] = []
+            min_size = max(cfg.min_group_size, self.DELTA_MIN_GROUP_SIZE)
+            groups: List[Tuple[Tuple[int, ...], np.ndarray]] = []
+            d = added
+            if len(added) >= min_size:
+                # Admission among the added rules alone: l-MGR over a
+                # classifier of just them places them exactly as a scan
+                # of their positions in the full one would.
+                mini = Classifier.from_checked(
+                    schema, rules + (self.classifier.catch_all,)
+                )
+                mini._set_bounds(*mini._rule_bounds(rules))
+                l = min(cfg.max_group_fields, len(schema))
+                budget = None
+                if cfg.max_groups is not None:
+                    budget = cfg.max_groups - sum(
+                        1
+                        for index in self.software.groups
+                        if np.isin(
+                            index.rule_ids[index.rule_ids >= 0], removed,
+                            invert=True,
+                        ).any()
+                    )
+                admitted = (
+                    l_mgr(mini, l, beta=budget)
+                    if budget is None or budget > 0
+                    else MGRResult((), tuple(range(len(rules))), l)
+                )
+                spill = list(admitted.ungrouped)
+                for group in admitted.groups:
+                    if group.size < min_size:
+                        spill.extend(group.rule_indices)
+                    else:
+                        members = added[list(group.rule_indices)]
+                        groups.append((group.fields, members))
+                d = added[np.sort(np.asarray(spill, dtype=np.int64))]
+        return EngineDelta(
+            base=self.lineage, removed=removed, added=added, rules=rules,
+            groups=tuple(groups), d=d,
+        )
+
+    def apply(
+        self, delta: EngineDelta, stages: Sequence[Tuple[str, float]] = ()
+    ) -> "SaxPacEngine":
+        """The second half of :meth:`rebuild`: a new engine with ``delta``
+        carried out — carried group indexes relabelled, the delta's groups
+        built, D updated in place of a rebuild.  Shard workers apply the
+        deltas their parent planned, so their decomposition equals the
+        parent's.  ``ValueError`` when ``delta`` was planned against
+        another lineage."""
+        if delta.base != self.lineage:
+            raise ValueError(
+                f"delta planned for lineage {delta.base} applied to an "
+                f"engine at {self.lineage}"
+            )
+        cfg = self.config
+        stages = list(stages)
+        old_size = len(self.classifier.rules) - 1
+        with self._stage("lookup", stages):
+            classifier = self.classifier.successor(
+                delta.removed, delta.added, delta.rules
+            )
+            old_to_new = _position_map(old_size, delta.removed, delta.added)
+            indexes: List[GroupIndex] = []
+            tombstones = self._tombstones
             for index in self.software.groups:
                 ids = index.rule_ids
-                mapped = np.where(
-                    ids >= 0, old_to_new[np.maximum(ids, 0)], np.int64(-1)
+                mapped = _relabel(ids, old_to_new)
+                dead = int((mapped < 0).sum())
+                was_dead = int((ids < 0).sum())
+                if dead < len(mapped):
+                    indexes.append(index.reindexed(mapped))
+                    tombstones += dead - was_dead
+                else:  # every member left: the group goes
+                    tombstones -= was_dead
+            for fields, members in delta.groups:
+                group = Group(tuple(members.tolist()), tuple(fields))
+                indexes.append(
+                    build_group_index(classifier, group, cfg.use_cascading)
                 )
-                if (mapped >= 0).any():
-                    carried.append((index, mapped))
-            spill: set = set()
-            delta_groups: List[Group] = []
-            if added:
-                if cfg.max_groups is not None:
-                    budget = cfg.max_groups - len(carried)
-                    delta = (
-                        l_mgr(new_classifier, l, beta=budget, rule_subset=added)
-                        if budget > 0
-                        else MGRResult((), tuple(added), l)
-                    )
-                else:
-                    delta = l_mgr(new_classifier, l, rule_subset=added)
-                spill.update(delta.ungrouped)
-                min_size = max(cfg.min_group_size, self.DELTA_MIN_GROUP_SIZE)
-                for group in delta.groups:
-                    if group.size < min_size:
-                        spill.update(group.rule_indices)
-                    else:
-                        delta_groups.append(group)
-        with self._stage("lookup", stages):
-            indexes = [index.reindexed(mapped) for index, mapped in carried]
-            indexes.extend(
-                build_group_index(new_classifier, g, cfg.use_cascading)
-                for g in delta_groups
-            )
             software = MultiGroupEngine(
-                new_classifier,
+                classifier,
                 (),
                 cascading=cfg.use_cascading,
                 recorder=self.recorder,
                 prebuilt=indexes,
             )
-        carried_d = [
-            int(old_to_new[i]) for i in self._d_indices if old_to_new[i] >= 0
-        ]
-        d_indices = tuple(sorted(set(carried_d) | spill))
         with self._stage("tcam", stages):
-            cache: dict = {}
-            per_index: dict = {}
-            for record in self._tcam.rows:
-                per_index.setdefault(record.rule_index, (record.rule, []))[
-                    1
-                ].append(record.entry)
-            for rule, entries in per_index.values():
-                cache[rule] = tuple(entries)
-            tcam, tcam_view = build_tcam(
-                new_classifier,
-                encoder=self.encoder,
-                rule_indices=d_indices,
-                capacity=cfg.d_capacity,
-                pattern_cache=cache,
-            )
-            d_bits = BitsetTcam.from_classifier(new_classifier, d_indices)
-        groups = tuple(
-            Group(
-                rule_indices=tuple(
-                    int(r) for r in index.rule_ids if r >= 0
-                ),
-                fields=index.fields,
-            )
-            for index in indexes
+            d_bits, tcam = self._updated_d(classifier, old_to_new, delta.d)
+        engine = SaxPacEngine.__new__(SaxPacEngine)
+        engine.classifier = classifier
+        engine.config = cfg
+        engine.encoder = self.encoder
+        engine.recorder = self.recorder
+        engine.injector = self.injector
+        engine._grouping = None
+        engine.software = software
+        engine._d_bits = d_bits
+        engine._tcam = tcam
+        root, step = self.lineage
+        engine._finish(
+            tuple(stages),
+            incremental=True,
+            lineage=(root, step + delta.steps),
+            deltas=self.deltas + (delta,),
+            tombstones=tombstones,
         )
-        grouping = MGRResult(groups, d_indices, l)
-        return SaxPacEngine._from_parts(
-            new_classifier,
-            cfg,
-            self.encoder,
-            self.recorder,
-            grouping=grouping,
-            software=software,
-            d_indices=d_indices,
-            tcam=tcam,
-            tcam_view=tcam_view,
-            d_bits=d_bits,
-            stages=tuple(stages),
-            injector=self.injector,
-        )
+        return engine
 
-    def _diff(
-        self, new_classifier: Classifier
-    ) -> Optional[Tuple[np.ndarray, List[int]]]:
-        """Identity diff against ``new_classifier``: the old-index → new-
-        index map (-1 for removed) and the list of new body indices.  None
-        when the incremental path is not applicable."""
-        if self.config.enforce_cache:
-            # MRCC demotions depend on global priorities; localized
-            # re-admission cannot preserve the cache property.
-            return None
-        if new_classifier.schema != self.classifier.schema:
-            return None
-        old_body = self.classifier.body
-        new_body = new_classifier.body
-        old_ids = {id(rule): i for i, rule in enumerate(old_body)}
-        if len(old_ids) != len(old_body):
-            return None
-        if len({id(rule) for rule in new_body}) != len(new_body):
-            return None
-        old_to_new = np.full(max(len(old_body), 1), -1, dtype=np.int64)
-        added: List[int] = []
-        carried = 0
-        for j, rule in enumerate(new_body):
-            i = old_ids.get(id(rule))
-            if i is None:
-                added.append(j)
-            else:
-                old_to_new[i] = j
-                carried += 1
-        removed = len(old_body) - carried
-        tombstones = sum(
-            int((index.rule_ids < 0).sum()) for index in self.software.groups
-        )
-        churn = removed + tombstones + len(added)
-        if churn > self.STALENESS_LIMIT * max(1, len(new_body)):
-            return None
-        return old_to_new, added
-
-    @classmethod
-    def _from_parts(
-        cls,
-        classifier: Classifier,
-        config: EngineConfig,
-        encoder: RangeEncoder,
-        recorder,
-        *,
-        grouping: MGRResult,
-        software: MultiGroupEngine,
-        d_indices: Tuple[int, ...],
-        tcam,
-        tcam_view,
-        d_bits: BitsetTcam,
-        stages: Tuple[Tuple[str, float], ...],
-        injector=None,
-    ) -> "SaxPacEngine":
-        self = cls.__new__(cls)
-        self.classifier = classifier
-        self.config = config
-        self.encoder = encoder
-        self.recorder = recorder
-        self.injector = injector if injector is not None else NULL_INJECTOR
-        self.grouping = grouping
-        self.software = software
-        self._d_indices = d_indices
-        self._tcam = tcam
-        self._tcam_view = tcam_view
-        self._d_bits = d_bits
-        self.d_lookups_skipped = 0
-        self.build_stages = stages
-        self.build_seconds = sum(dt for _, dt in stages)
-        self.build_incremental = True
-        return self
+    def _updated_d(self, classifier, old_to_new, added):
+        """D's bitsets and TCAM model for ``classifier``: this engine's D
+        relabelled through ``old_to_new`` plus the body positions
+        ``added``.  Rules appended below every carried D rule append
+        their bits and rows and removed rules clear theirs; an addition
+        above a carried D rule (a modify), or dead bits outnumbering live
+        ones, rebuilds the tables (reusing carried rules' entries)."""
+        bits = self._d_bits
+        ids = _relabel(bits.rule_ids, old_to_new)
+        live = ids[ids >= 0]
+        miss = len(classifier.rules) - 1
+        in_order = not len(added) or not len(live) or live[-1] < added[0]
+        dead = len(ids) - len(live)
+        if in_order and dead <= max(64, len(live)):
+            lows, highs = classifier.bounds_arrays()
+            new_bits = bits.updated(ids, lows[added], highs[added], added, miss)
+            tcam = self._tcam.copy()
+            for slot in np.flatnonzero((bits.rule_ids >= 0) & (ids < 0)).tolist():
+                tcam.drop_rows(slot)
+            self._program_d(tcam, classifier, added, len(ids))
+            return new_bits, tcam
+        d_indices = np.union1d(live, added)
+        known: dict = {}
+        for record in self._tcam.rows:
+            index = int(ids[record.rule_index])
+            if index >= 0:
+                known.setdefault(index, []).append(record.entry)
+        new_bits = BitsetTcam.from_classifier(classifier, d_indices)
+        tcam = Tcam(classifier.schema.total_width, self.config.d_capacity)
+        self._program_d(tcam, classifier, new_bits.rule_ids, 0, known)
+        return new_bits, tcam
 
     # ------------------------------------------------------------------
     # Classification
@@ -494,7 +690,11 @@ class SaxPacEngine:
             self.d_lookups_skipped += 1
             tcam_best: Optional[int] = None
         else:
-            tcam_best = self._tcam_view.match_index(header)
+            # TCAM rows carry D bit positions; rule_ids reads the index.
+            slot = self._tcam_view.match_index(header)
+            tcam_best = (
+                None if slot is None else int(self._d_bits.rule_ids[slot])
+            )
         candidates = [c for c in (software_best, tcam_best) if c is not None]
         index = min(candidates) if candidates else len(self.classifier.rules) - 1
         if recorder.enabled:
@@ -571,7 +771,7 @@ class SaxPacEngine:
         self._tcam.lookups += probed
         self._tcam.row_activations += probed * len(self._tcam)
         d_hits = 0
-        if probed and self._d_indices:
+        if probed and len(self._d_bits.rule_ids):
             d_span = (
                 recorder.span("engine.d_probe", batch=probed)
                 if recorder.enabled
@@ -644,12 +844,13 @@ class SaxPacEngine:
                 tcam_entries_full=-1,
             )
         full_entries = classifier_entry_count(self.classifier, self.encoder)
+        groups = self.software.groups
         return EngineReport(
-            total_rules=len(self.classifier.body),
+            total_rules=len(self.classifier.rules) - 1,
             software_rules=self.software.num_rules,
-            tcam_rules=len(self._d_indices),
-            num_groups=len(self.grouping.groups),
-            group_fields=tuple(g.fields for g in self.grouping.groups),
+            tcam_rules=len(self._d_live()),
+            num_groups=len(groups),
+            group_fields=tuple(g.fields for g in groups),
             tcam_entries=len(self._tcam),
             tcam_entries_full=full_entries,
             build_seconds=self.build_seconds,

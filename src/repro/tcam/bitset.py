@@ -21,6 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
+from ..core.classifier import splice_rows
+
 __all__ = ["BitsetTcam"]
 
 #: Bound on the boolean cover matrix materialized per build chunk.
@@ -80,6 +82,77 @@ class BitsetTcam:
         ids = np.asarray(sorted(rule_indices), dtype=np.int64)
         lows, highs = classifier.bounds_arrays()
         return cls(lows[ids], highs[ids], ids, miss=len(classifier.rules) - 1)
+
+    def updated(
+        self,
+        rule_ids: np.ndarray,
+        lows: np.ndarray,
+        highs: np.ndarray,
+        added_ids: Sequence[int],
+        miss: int,
+    ) -> "BitsetTcam":
+        """A successor that shares nothing mutable with this one: bit
+        ``j`` now answers ``rule_ids[j]`` (-1 clears the bit, its rule
+        has left), and one bit per row of the ``(A, k)`` bounds
+        ``lows``/``highs`` is appended at the lowest priority, answering
+        ``added_ids`` (ascending, above every live id).
+
+        Each field table is copied once, with its rows split at the
+        appended rules' new cuts; no table is rebuilt from its rules."""
+        ids = np.asarray(rule_ids, dtype=np.int64)
+        if ids.shape != self.rule_ids.shape:
+            raise ValueError("rule_ids must cover every bit position")
+        added = np.asarray(added_ids, dtype=np.int64)
+        if not self._tables:
+            return BitsetTcam(lows, highs, added, miss=miss)
+        clone = object.__new__(BitsetTcam)
+        clone.miss = miss
+        clone.rule_ids = np.concatenate([ids, added])
+        clone._answers = np.append(clone.rule_ids, np.int64(miss))
+        clone.words = max(1, -(-len(clone.rule_ids) // 64))
+        cleared = [
+            (bit // 64, ~(np.uint64(1) << np.uint64(bit % 64)))
+            for bit in np.flatnonzero((self.rule_ids >= 0) & (ids < 0)).tolist()
+        ]
+        masks = [
+            (bit // 64, np.uint64(1) << np.uint64(bit % 64))
+            for bit in range(len(ids), len(clone.rule_ids))
+        ]
+        clone._tables = []
+        for f, (cuts, rows) in enumerate(self._tables):
+            if rows.ndim == 1:
+                rows = rows[:, None]
+            wanted = sorted(set(lows[:, f].tolist() + (highs[:, f] + 1).tolist()))
+            at = cuts.searchsorted(wanted)
+            fresh = [
+                v for v, p in zip(wanted, at.tolist())
+                if p == len(cuts) or cuts[p] != v
+            ]
+            if fresh:
+                # Each new cut splits the old row it falls in: a copy of
+                # that row goes in right after it.
+                at = cuts.searchsorted(fresh)
+                cuts = np.insert(cuts, at, fresh)
+                rows = splice_rows(
+                    rows, (), at + 1 + np.arange(len(at)), rows[at]
+                )
+            else:
+                rows = rows.copy()
+            for word, mask in cleared:
+                rows[:, word] &= mask
+            if clone.words == self.words:
+                table = rows
+            else:
+                table = np.zeros((len(rows), clone.words), dtype="<u8")
+                table[:, : self.words] = rows
+            firsts = cuts.searchsorted(lows[:, f]).tolist()
+            ends = cuts.searchsorted(highs[:, f] + 1).tolist()
+            for (word, mask), first, end in zip(masks, firsts, ends):
+                table[first + 1 : end + 1, word] |= mask
+            clone._tables.append(
+                (cuts, table.reshape(-1) if clone.words == 1 else table)
+            )
+        return clone
 
     def match(self, harr: np.ndarray) -> np.ndarray:
         """First matching rule id per row of the ``(B, k)`` header array

@@ -9,8 +9,10 @@ so experiments can report space and (simulated) power proxies.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import List, Optional, Sequence, Tuple
 
 from ..core.classifier import Classifier
 from ..core.rule import Rule
@@ -27,6 +29,9 @@ class TcamEntryRecord:
     entry: TernaryEntry
     rule_index: int
     rule: Rule
+
+
+_rule_index = attrgetter("rule_index")
 
 
 class Tcam:
@@ -83,6 +88,23 @@ class Tcam:
         self._rows = [r for r in self._rows if r.rule_index != rule_index]
         return before - len(self._rows)
 
+    def drop_rows(self, rule_index: int) -> int:
+        """:meth:`remove_rule` for a TCAM programmed in ascending
+        rule-index order: a binary search instead of a scan."""
+        lo = bisect.bisect_left(self._rows, rule_index, key=_rule_index)
+        hi = bisect.bisect_right(
+            self._rows, rule_index, lo=lo, key=_rule_index
+        )
+        del self._rows[lo:hi]
+        return hi - lo
+
+    def copy(self) -> "Tcam":
+        """A TCAM programmed with the same rows (lookup counters start
+        at zero); programming either one leaves the other alone."""
+        clone = Tcam(self.width, self.capacity)
+        clone._rows = list(self._rows)
+        return clone
+
     def clear(self) -> None:
         """Remove every programmed row."""
         self._rows.clear()
@@ -121,7 +143,6 @@ def build_tcam(
     rule_indices: Optional[Sequence[int]] = None,
     capacity: Optional[int] = None,
     include_catch_all: bool = False,
-    pattern_cache: Optional[Dict[Rule, Tuple[TernaryEntry, ...]]] = None,
 ) -> Tuple[Tcam, "TcamClassifier"]:
     """Expand (a subset of) a classifier into a programmed TCAM.
 
@@ -129,11 +150,6 @@ def build_tcam(
     performs key construction for headers.  ``fields`` selects the lookup
     fields (Theorem 2 reduced width); ``rule_indices`` selects body rules
     (e.g. only the order-dependent part D).
-
-    ``pattern_cache`` maps a rule to its expanded ternary entries; hits
-    skip range expansion and misses are added, so incremental rebuilds pay
-    expansion only for rules new to D.  Callers must key one cache to one
-    (encoder, fields) combination.
     """
     encoder = encoder or BinaryRangeEncoder()
     field_list = list(fields) if fields is not None else list(range(classifier.num_fields))
@@ -146,24 +162,14 @@ def build_tcam(
         else list(range(len(classifier.body)))
     )
 
-    def expanded(rule: Rule) -> Tuple[TernaryEntry, ...]:
-        if pattern_cache is None:
-            return tuple(expand_rule(rule, classifier.schema, encoder, field_list))
-        entries = pattern_cache.get(rule)
-        if entries is None:
-            entries = pattern_cache[rule] = tuple(
-                expand_rule(rule, classifier.schema, encoder, field_list)
-            )
-        return entries
-
     for idx in sorted(indices):
         rule = classifier.rules[idx]
-        for entry in expanded(rule):
+        for entry in expand_rule(rule, classifier.schema, encoder, field_list):
             tcam.program(entry, idx, rule)
     if include_catch_all:
         idx = len(classifier.rules) - 1
         rule = classifier.catch_all
-        for entry in expanded(rule):
+        for entry in expand_rule(rule, classifier.schema, encoder, field_list):
             tcam.program(entry, idx, rule)
     return tcam, TcamClassifier(tcam, classifier, encoder, field_list)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import random
 
 import pytest
@@ -111,3 +112,33 @@ def random_classifier(
                 ranges.append((low, high))
         rules.append(make_rule(ranges))
     return Classifier(schema, rules)
+
+
+def positional_change(old: Classifier, new: Classifier):
+    """``(removed, added, rules)`` taking ``old``'s body to ``new``'s, the
+    form :meth:`SaxPacEngine.rebuild` takes: the longest run of ``old``
+    rules that ``new`` keeps in order (by identity) is carried, every
+    other rule leaves or enters."""
+    where = {id(rule): i for i, rule in enumerate(old.body)}
+    tails, tail_at, prev = [], [], {}
+    for j, rule in enumerate(new.body):
+        i = where.get(id(rule))
+        if i is None:
+            continue
+        k = bisect.bisect_left(tails, i)
+        prev[j] = tail_at[k - 1] if k else None
+        if k == len(tails):
+            tails.append(i)
+            tail_at.append(j)
+        else:
+            tails[k] = i
+            tail_at[k] = j
+    carried = {}
+    j = tail_at[-1] if tail_at else None
+    while j is not None:
+        carried[j] = where[id(new.body[j])]
+        j = prev[j]
+    kept = set(carried.values())
+    removed = [i for i in range(len(old.body)) if i not in kept]
+    added = [j for j in range(len(new.body)) if j not in carried]
+    return removed, added, [new.body[j] for j in added]

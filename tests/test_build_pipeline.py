@@ -28,6 +28,7 @@ from repro.core import Classifier, make_rule, uniform_schema
 from repro.saxpac.config import EngineConfig
 from repro.saxpac.engine import SaxPacEngine
 from repro.workloads.generator import generate_classifier
+from conftest import positional_change
 from strategies import classifiers, headers_for
 
 
@@ -154,7 +155,7 @@ class TestIncrementalRebuild:
         rng = random.Random(seed + 100)
         changed = _mutate(classifier, rng, removals=8, insertions=8,
                           donor_seed=seed + 200)
-        rebuilt = engine.rebuild(changed)
+        rebuilt = engine.rebuild(*positional_change(classifier, changed))
         assert rebuilt.build_incremental
         fresh = SaxPacEngine(changed)
         headers = np.stack(
@@ -175,7 +176,7 @@ class TestIncrementalRebuild:
         rng = random.Random(33)
         changed = _mutate(classifier, rng, removals=4, insertions=4,
                           donor_seed=17)
-        rebuilt = engine.rebuild(changed)
+        rebuilt = engine.rebuild(*positional_change(classifier, changed))
         for _ in range(200):
             header = tuple(
                 rng.randint(0, (1 << w) - 1)
@@ -190,7 +191,7 @@ class TestIncrementalRebuild:
         rng = random.Random(1)
         changed = _mutate(classifier, rng, removals=5, insertions=5,
                           donor_seed=2)
-        engine.rebuild(changed)
+        engine.rebuild(*positional_change(classifier, changed))
         assert engine.report() == before
         headers = np.stack(
             [
@@ -224,23 +225,28 @@ class TestIncrementalRebuild:
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("width", [16, 64])
-    def test_carry_bounds_matches_derivation(self, width):
+    def test_successor_carries_bounds(self, width):
+        """``Classifier.successor`` carries the bounds rows of kept
+        rules and derives only the added ones — exactly, also for
+        fields too wide for int64 (object bounds)."""
         top = (1 << width) - 1
         schema = uniform_schema(2, width)
         old_rules = [
             make_rule([(i, i + 3), (top - i - 9, top - i)]) for i in range(8)
         ]
-        added = [make_rule([(top - 5, top), (0, 1)])]
+        added = [
+            make_rule([(top - 5, top), (0, 1)]),
+            make_rule([(7, 9), (top - 1, top)]),
+        ]
         previous = Classifier(schema, old_rules)
-        # Drop rule 2, move rule 0 to the end and add one rule.
-        body = old_rules[1:2] + old_rules[3:] + added + old_rules[:1]
-        current = Classifier(schema, body)
-        mapping = np.full(len(old_rules), -1, dtype=np.int64)
-        for j, rule in enumerate(body):
-            for i, old in enumerate(old_rules):
-                if old is rule:
-                    mapping[i] = j
-        current.carry_bounds(previous, mapping)
+        previous.bounds_arrays()
+        # Drop rules 0, 2 and 7; add one rule at the top, one inside.
+        body = [added[0]] + old_rules[1:2] + old_rules[3:5] + [added[1]] + (
+            old_rules[5:7]
+        )
+        current = previous.successor([0, 2, 7], [0, 4], added)
+        assert current.body == tuple(body)
+        assert current.catch_all is previous.catch_all
         fresh = Classifier(schema, body).bounds_arrays()
         for got, want in zip(current.bounds_arrays(), fresh):
             assert got.dtype == want.dtype
@@ -255,7 +261,9 @@ class TestIncrementalRebuild:
         for round_number in range(4):
             current = _mutate(current, rng, removals=3, insertions=3,
                               donor_seed=500 + round_number)
-            engine = engine.rebuild(current)
+            engine = engine.rebuild(
+                *positional_change(engine.classifier, current)
+            )
             headers = np.stack(
                 [
                     np.random.default_rng(round_number).integers(
@@ -280,7 +288,7 @@ class TestIncrementalRebuild:
         current = classifier
         for rule in donor.body[:20]:
             current = Classifier(current.schema, list(current.body) + [rule])
-            engine = engine.rebuild(current)
+            engine = engine.rebuild([], [len(current.body) - 1], [rule])
             assert engine.build_incremental
             assert len(current.body) - 1 in engine.decomposition()[1]
         assert len(engine.decomposition()[0]) == groups
@@ -300,7 +308,7 @@ class TestIncrementalRebuild:
         rng = random.Random(8)
         changed = _mutate(classifier, rng, removals=120, insertions=120,
                           donor_seed=6)
-        rebuilt = engine.rebuild(changed)
+        rebuilt = engine.rebuild(*positional_change(classifier, changed))
         assert not rebuilt.build_incremental
         headers = [
             tuple(rng.randint(0, (1 << w) - 1)
@@ -317,7 +325,7 @@ class TestIncrementalRebuild:
         rng = random.Random(8)
         changed = _mutate(classifier, rng, removals=2, insertions=2,
                           donor_seed=6)
-        rebuilt = engine.rebuild(changed)
+        rebuilt = engine.rebuild(*positional_change(classifier, changed))
         assert not rebuilt.build_incremental
 
     def test_priority_only_shift_reuses_everything(self):
@@ -327,7 +335,7 @@ class TestIncrementalRebuild:
         moved = body.pop(250)
         body.insert(10, moved)
         shifted = Classifier(classifier.schema, body)
-        rebuilt = engine.rebuild(shifted)
+        rebuilt = engine.rebuild(*positional_change(classifier, shifted))
         assert rebuilt.build_incremental
         rng = random.Random(2)
         headers = [
@@ -359,7 +367,7 @@ class TestIncrementalRebuild:
                 new_rule,
             )
         changed = Classifier(classifier.schema, body)
-        rebuilt = engine.rebuild(changed)
+        rebuilt = engine.rebuild(*positional_change(classifier, changed))
         for _ in range(20):
             header = data.draw(headers_for(changed))
             assert rebuilt.match(header).index == changed.match(header).index
@@ -386,7 +394,9 @@ class TestBuildStages:
         engine = SaxPacEngine(classifier)
         body = list(classifier.body)
         del body[100]
-        rebuilt = engine.rebuild(Classifier(classifier.schema, body))
+        rebuilt = engine.rebuild(
+            *positional_change(classifier, Classifier(classifier.schema, body))
+        )
         names = [name for name, _ in rebuilt.build_stages]
         assert names == ["diff", "grouping", "lookup", "tcam"]
         assert rebuilt.build_incremental

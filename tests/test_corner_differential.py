@@ -20,6 +20,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import positional_change
+
 from repro.core.classifier import Classifier
 from repro.runtime.batch import linear_match_indices
 from repro.saxpac.engine import SaxPacEngine
@@ -36,7 +38,9 @@ def corner_headers(engine: SaxPacEngine, group_stride: int = 1):
     fields of every ``group_stride``-th member of every group."""
     classifier = engine.classifier
     maxima = [spec.max_value for spec in classifier.schema]
-    probes = [(i, range(classifier.num_fields)) for i in engine._d_indices]
+    probes = [
+        (i, range(classifier.num_fields)) for i in engine.decomposition()[1]
+    ]
     for index in engine.software.groups:
         live = [int(r) for r in index.rule_ids if r >= 0]
         probes.extend((r, index.fields) for r in live[::group_stride])
@@ -74,7 +78,7 @@ class TestWideField:
         table = generate_forwarding_table(2000, seed=3, version=6)
         assert list(table.schema.widths) == [128]
         engine = SaxPacEngine(table)
-        assert len(engine._d_indices) == 200
+        assert len(engine.decomposition()[1]) == 200
         headers = corner_headers(engine)
         # Bounds past 2**64 reach the kernels as exact Python ints.
         assert max(h[0] for h in headers) > 1 << 64
@@ -85,7 +89,7 @@ class TestWideField:
 def test_benchmark_rule_sets(style):
     classifier = generate_classifier(style, 5000, 2014)
     engine = SaxPacEngine(classifier)
-    assert engine._d_indices
+    assert engine.decomposition()[1]
     assert_corners_agree(engine, corner_headers(engine, GROUP_STRIDE))
 
 
@@ -94,7 +98,7 @@ def test_rebuilt_engine_with_reindexed_and_tombstoned_groups():
     fresh = generate_classifier("acl", 40, 43).body[:5]
     kept = [rule for i, rule in enumerate(base.body) if i % 25 != 7]
     target = Classifier(base.schema, list(fresh) + kept)
-    engine = SaxPacEngine(base).rebuild(target)
+    engine = SaxPacEngine(base).rebuild(*positional_change(base, target))
     assert engine.build_incremental
     assert any((g.rule_ids < 0).any() for g in engine.software.groups)
     assert_corners_agree(engine, corner_headers(engine))

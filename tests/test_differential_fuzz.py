@@ -26,6 +26,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import positional_change
+
 from repro.core.classifier import Classifier
 from repro.runtime.shard import ShardedRuntime
 from repro.saxpac.config import EngineConfig
@@ -83,7 +85,9 @@ def rebuilt_engine(request):
     ``rebuild`` to the full one — the hot-swap incremental path."""
     classifier = generate_classifier(request.param, 90, seed=131)
     truncated = Classifier(classifier.schema, classifier.body[:60])
-    engine = SaxPacEngine(truncated).rebuild(classifier)
+    engine = SaxPacEngine(truncated).rebuild(
+        *positional_change(truncated, classifier)
+    )
     return classifier, engine
 
 
@@ -134,7 +138,9 @@ def backend_rebuilt_engine(request):
         classifier.schema, [r for i, r in enumerate(body) if i % 20 != 5]
     )
     config = EngineConfig(max_group_fields=request.param)
-    engine = SaxPacEngine(old, config).rebuild(new)
+    engine = SaxPacEngine(old, config).rebuild(
+        *positional_change(old, new)
+    )
     assert engine.build_incremental
     assert any((g.rule_ids < 0).any() for g in engine.software.groups)
     return new, _structure_engine(engine, request.param)
@@ -209,7 +215,9 @@ class TestPostRebuild:
         after = data.draw(classifiers(max_rules=12))
         # Rebuild across schemas is undefined; pin both to one schema.
         after = Classifier(before.schema, after.body)
-        engine = SaxPacEngine(before).rebuild(after)
+        engine = SaxPacEngine(before).rebuild(
+            *positional_change(before, after)
+        )
         headers = [
             data.draw(corner_headers_for(after))
             for _ in range(_HEADERS_PER_EXAMPLE)

@@ -20,6 +20,7 @@ from repro.runtime.batch import linear_match_batch
 from repro.saxpac.config import EngineConfig
 from repro.saxpac.engine import SaxPacEngine
 from conftest import random_classifier
+from conftest import positional_change
 from strategies import classifiers, corner_headers_for
 
 WIDTH = 16
@@ -276,7 +277,7 @@ class TestEngineReporting:
         k = _disjoint_classifier(n)
         engine = SaxPacEngine(k)
         shrunk = Classifier(k.schema, k.body[: n - 2])
-        rebuilt = engine.rebuild(shrunk)
+        rebuilt = engine.rebuild(*positional_change(k, shrunk))
         assert rebuilt.build_incremental
         old, new = engine.software.groups[0], rebuilt.software.groups[0]
         assert type(new) is type(old)

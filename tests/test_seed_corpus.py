@@ -82,6 +82,6 @@ class TestSeedCorpus:
 
     def test_rebuilt_engine_digest(self, corpus, digests):
         style, classifier, trace = corpus
-        engine = SaxPacEngine(classifier).rebuild(classifier)
+        engine = SaxPacEngine(classifier).rebuild([], [], [])
         indices = [r.index for r in engine.match_batch(trace)]
         assert _digest(indices) == digests[style]["digest"]
